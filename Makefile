@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint sanitize chaos bench bench-train bench-rank bench-retrieve bench-serve bench-concurrency bench-durability bench-online docs-check all
+.PHONY: test lint sanitize chaos bench bench-train bench-rank bench-retrieve bench-serve bench-concurrency bench-durability bench-online bench-record bench-compare docs-check all
 
 # Tier-1 test suite (the acceptance gate for every PR).
 test:
@@ -84,6 +84,19 @@ bench-durability:
 # time at a 100k-event log (writes results/online_learning.txt).
 bench-online:
 	$(PYTHON) -m pytest benchmarks/test_online_learning.py -q
+
+# Benchmark of record (BENCHMARK.json, bench/README.md): run all six workloads,
+# untraced then traced, and write one machine-readable record.
+#   make bench-record SEED=1
+SEED ?= 0
+bench-record:
+	python3 -m bench.run --seed $(SEED) --out bench/out/record_seed$(SEED).json
+
+# Two records, one verdict per (workload, end-to-end metric) from the
+# BENCHMARK.json bounds; exits 1 when any row is worse.
+#   make bench-compare BASE=parent.json NEW=bench/out/record_seed0.json
+bench-compare:
+	python3 -m bench.compare $(BASE) $(NEW)
 
 # Fail if the documented code blocks have drifted from the public API:
 # extracts and executes every ```python fence in the README and the

@@ -8,7 +8,7 @@ composes primitive tensor operations, so gradients flow through automatically.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -59,6 +59,17 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return exps / exps.sum(axis=axis, keepdims=True)
 
 
+def attention_scores(
+    queries: Tensor, keys: Tensor, mask: Optional[np.ndarray] = None
+) -> Tensor:
+    """Masked, scaled dot-product attention scores ``QKᵀ/√d + M``."""
+    d = queries.shape[-1]
+    scores = queries @ keys.swapaxes(-1, -2) * (1.0 / np.sqrt(d))
+    if mask is not None:
+        scores = scores + Tensor(np.asarray(mask, dtype=np.float64))
+    return scores
+
+
 def scaled_dot_product_attention(
     queries: Tensor,
     keys: Tensor,
@@ -78,12 +89,43 @@ def scaled_dot_product_attention(
         large finite constant is used so the softmax stays well-defined even
         for rows where every position is blocked (all-padding rows).
     """
-    d = queries.shape[-1]
-    scores = queries @ keys.swapaxes(-1, -2) * (1.0 / np.sqrt(d))
-    if mask is not None:
-        scores = scores + Tensor(np.asarray(mask, dtype=np.float64))
-    weights = softmax(scores, axis=-1)
-    return weights @ values
+    return softmax(attention_scores(queries, keys, mask=mask), axis=-1) @ values
+
+
+def pooled_attention(
+    queries: Tensor,
+    keys: Tensor,
+    values: Tensor,
+    row_weights: np.ndarray,
+    mask: Optional[np.ndarray] = None,
+) -> Tensor:
+    """``(r · softmax(QKᵀ/√d + M)) · V`` → ``(..., d)``; the differentiable
+    twin of :func:`repro.nn.kernels.pooled_attention`."""
+    weights = softmax(attention_scores(queries, keys, mask=mask), axis=-1)
+    return (Tensor(row_weights[..., None, :]) @ weights @ values).squeeze(-2)
+
+
+def pooled_cross_attention(
+    static_qkv: Sequence[Tensor],
+    history_qkv: Sequence[Tensor],
+    row_weights: np.ndarray,
+    static_mask: np.ndarray,
+) -> Tensor:
+    """The cross view (Eq. 11-13) in two row blocks; the differentiable twin of
+    :func:`repro.nn.kernels.pooled_cross_attention`, operation for operation."""
+    q_static, k_static, v_static = static_qkv
+    q_history, k_history, v_history = history_qkv
+    num_static = q_static.shape[-2]
+    scale = 1.0 / np.sqrt(q_static.shape[-1])
+    scores = Tensor.concatenate(
+        [q_static @ k_static.swapaxes(-1, -2),
+         q_static @ k_history.swapaxes(-1, -2)], axis=-1,
+    ) * scale + Tensor(static_mask)
+    from_static = Tensor(row_weights[..., None, :num_static]) @ softmax(scores, axis=-1)
+    weights = softmax(k_static @ q_history.swapaxes(-1, -2) * scale, axis=-2)
+    from_history = weights @ Tensor(row_weights[..., num_static:, None])
+    on_static = from_static[..., :num_static] + from_history.swapaxes(-1, -2)
+    return (on_static @ v_static + from_static[..., num_static:] @ v_history).squeeze(-2)
 
 
 def layer_norm(x: Tensor, scale: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:

@@ -15,9 +15,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.autograd.tensor import no_grad
+from repro.autograd.tensor import Tensor, no_grad
 from repro.core import masks as mask_lib
 from repro.core.model import SeqFM
+from repro.core.views import cross_attention_mask, cross_valid_mask
 from repro.data.features import FeatureBatch
 
 
@@ -70,16 +71,10 @@ def attention_maps(model: SeqFM, batch: FeatureBatch, index: int = 0) -> Attenti
 
         cross_weights = None
         if model.cross_view is not None:
-            from repro.autograd.tensor import Tensor
             combined = Tensor.concatenate([static_embedded, dynamic_embedded], axis=-2)
-            static_valid = np.ones((1, num_static))
-            combined_valid = np.concatenate([static_valid, valid], axis=1)
-            padding = mask_lib.padding_key_mask(combined_valid)
-            if model.cross_view.full_attention:
-                attention_mask = padding
-            else:
-                cross = mask_lib.cross_view_mask(num_static, seq_len)[None]
-                attention_mask = mask_lib.combine_masks(cross, padding)
+            attention_mask = cross_attention_mask(
+                num_static, seq_len, cross_valid_mask(num_static, valid)
+            )
             cross_weights = model.cross_view.attention.attention_weights(
                 combined, mask=attention_mask
             )[0]

@@ -143,7 +143,9 @@ class SeqFM(Module):
         — is computed once per group and its refined representation gathered
         back out to all rows; gradients scatter-add through the gather, which
         is exactly the sum the tiled computation would produce.  The static
-        and cross views depend on the candidate and always run on every row.
+        and cross views depend on the candidate and run on every row, but the
+        cross view projects each group's history once and gathers its Q/K/V
+        rows out, instead of projecting the gathered copies.
         """
         rows = batch.static_indices.shape[0]
         tile = getattr(batch, "dynamic_tile", 1) or 1
@@ -163,13 +165,10 @@ class SeqFM(Module):
                  tile_map is not None)
             )
         if self.cross_view is not None:
-            dynamic_full = (
-                dynamic_embedded.gather_rows(tile_map) if tile_map is not None
-                else dynamic_embedded
+            crossed = self.cross_view(
+                static_embedded, dynamic_embedded, batch.dynamic_mask[:base], tile_map
             )
-            pooled_views.append(
-                (self.cross_view(static_embedded, dynamic_full, batch.dynamic_mask), False)
-            )
+            pooled_views.append((crossed, False))
 
         refined: List[Tensor] = []
         for index, (view, deduped) in enumerate(pooled_views):

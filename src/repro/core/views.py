@@ -1,13 +1,15 @@
 """The three attention views of SeqFM (Sections III-B, III-C, III-D).
 
 Each view applies a single self-attention head to a feature matrix and
-compresses the result with intra-view pooling (Eq. 14):
+compresses the result with intra-view pooling (Eq. 14), folded into the
+attention weights (:func:`repro.autograd.functional.pooled_attention`):
 
 * :class:`StaticView` — unmasked attention over the n° static features.
 * :class:`DynamicView` — causally masked attention over the n˙-step dynamic
   sequence, with padding keys additionally blocked.
 * :class:`CrossView` — attention over the vertical concatenation [E°; E˙]
-  where the mask only allows static↔dynamic interactions.
+  where the mask only allows static↔dynamic interactions, evaluated in two
+  row blocks so the (n°+n˙)² score matrix is never built.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from repro.nn.module import Module
 
 
 # --------------------------------------------------------------------------- #
-# Mask assembly shared by the autograd views below and the graph-free serving
-# engine (repro.serving.engine) — keep a single source of truth for which
-# feature pairs each view may attend to.
+# Mask and pooling-weight assembly shared by the autograd views below and the
+# graph-free serving engine (repro.serving.engine) — keep a single source of
+# truth for which feature pairs each view may attend to and how its rows pool.
 # --------------------------------------------------------------------------- #
 def dynamic_attention_mask(seq_len: int, valid_mask: np.ndarray) -> np.ndarray:
     """Per-batch mask of the dynamic view: causal + padding keys (Eq. 10)."""
@@ -43,21 +45,43 @@ def cross_valid_mask(num_static: int, valid_mask: np.ndarray) -> np.ndarray:
 
 
 def cross_attention_mask(
-    num_static: int,
-    seq_len: int,
-    combined_valid: np.ndarray,
-    full_attention: bool = False,
+    num_static: int, seq_len: int, combined_valid: np.ndarray
 ) -> np.ndarray:
-    """Per-batch mask of the cross view (Eq. 13): cross-only + padding keys.
+    """Per-batch (T, T) mask of the cross view (Eq. 13): cross-only + padding keys.
 
-    ``full_attention`` drops the cross-only restriction (ablation variant) and
-    keeps just the padding mask.
+    The dense form, for inspection (:mod:`repro.core.interpret`) and tests.
     """
     padding = mask_lib.padding_key_mask(combined_valid)
-    if full_attention:
-        return padding
     cross = mask_lib.cross_view_mask(num_static, seq_len)[None, :, :]
     return mask_lib.combine_masks(cross, padding)
+
+
+def cross_static_mask(num_static: int, valid_mask: np.ndarray) -> np.ndarray:
+    """The static query rows of :func:`cross_attention_mask`, ``(batch, 1, T)``:
+    all n° are one row — static keys blocked, history keys open where valid."""
+    valid = np.asarray(valid_mask, dtype=np.float64)
+    blocked = np.zeros((valid.shape[0], num_static), dtype=np.float64)
+    return mask_lib.padding_key_mask(np.concatenate([blocked, valid], axis=1))
+
+
+def mean_pool_weights(valid_mask: np.ndarray) -> np.ndarray:
+    """Pooling weights of the masked mean (Eq. 14): ``valid / max(count, 1)``."""
+    valid = np.asarray(valid_mask, dtype=np.float64)
+    return valid / np.maximum(valid.sum(axis=-1, keepdims=True), 1.0)
+
+
+def dynamic_query_rows(queries, valid_mask: np.ndarray, pooling: str):
+    """The dynamic view's pooled query rows, their mask and pooling weights.
+
+    ``"mean"`` pools every valid row of the causal attention; ``"last"``
+    keeps the final position, so only that query row attends (the causal mask
+    leaves it every non-padding key).  ``queries``: array or :class:`Tensor`.
+    """
+    if pooling == "last":
+        return (queries[:, -1:, :], mask_lib.padding_key_mask(valid_mask),
+                np.ones((queries.shape[0], 1), dtype=np.float64))
+    return (queries, dynamic_attention_mask(queries.shape[-2], valid_mask),
+            mean_pool_weights(valid_mask))
 
 
 class StaticView(Module):
@@ -69,8 +93,9 @@ class StaticView(Module):
 
     def forward(self, static_embeddings: Tensor) -> Tensor:
         """``static_embeddings``: (batch, n_static, d) → pooled (batch, d)."""
-        interactions = self.attention(static_embeddings)
-        return F.mean_pool(interactions, axis=-2)
+        queries, keys, values = self.attention.project(static_embeddings)
+        row_weights = np.full(queries.shape[:-1], 1.0 / queries.shape[-2])
+        return F.pooled_attention(queries, keys, values, row_weights)
 
 
 class DynamicView(Module):
@@ -85,39 +110,39 @@ class DynamicView(Module):
 
     def forward(self, dynamic_embeddings: Tensor, valid_mask: np.ndarray) -> Tensor:
         """``dynamic_embeddings``: (batch, n_dyn, d); ``valid_mask``: (batch, n_dyn)."""
-        seq_len = dynamic_embeddings.shape[-2]
-        attention_mask = dynamic_attention_mask(seq_len, valid_mask)
-        interactions = self.attention(dynamic_embeddings, mask=attention_mask)
-        if self.pooling == "last":
-            return interactions[:, -1, :]
-        return F.masked_mean_pool(interactions, valid_mask, axis=-2)
+        queries, keys, values = self.attention.project(dynamic_embeddings)
+        queries, mask, row_weights = dynamic_query_rows(queries, valid_mask, self.pooling)
+        return F.pooled_attention(queries, keys, values, row_weights, mask=mask)
 
 
 class CrossView(Module):
     """Masked self-attention over [E°; E˙] keeping only cross interactions (Eq. 11-13)."""
 
-    def __init__(self, dim: int, full_attention: bool = False,
-                 rng: Optional[np.random.Generator] = None):
+    def __init__(self, dim: int, rng: Optional[np.random.Generator] = None):
         super().__init__()
         self.attention = SelfAttention(dim, rng=rng)
-        # ``full_attention`` disables the cross-only mask (ablation variant).
-        self.full_attention = full_attention
 
     def forward(
         self,
         static_embeddings: Tensor,
         dynamic_embeddings: Tensor,
         valid_mask: np.ndarray,
+        history_rows: Optional[np.ndarray] = None,
     ) -> Tensor:
+        """``static_embeddings``: (batch, n_static, d) → pooled (batch, d).
+
+        ``history_rows`` (batch,) names each row's history among the
+        ``dynamic_embeddings`` (groups, n_dyn, d) of a candidate-fused batch:
+        every history is projected once and its Q/K/V rows gathered out.
+        """
+        history = self.attention.project(dynamic_embeddings)
+        if history_rows is not None:
+            history = [projected.gather_rows(history_rows) for projected in history]
+            valid_mask = valid_mask[history_rows]
         num_static = static_embeddings.shape[-2]
-        seq_len = dynamic_embeddings.shape[-2]
-        combined = Tensor.concatenate([static_embeddings, dynamic_embeddings], axis=-2)
-
-        # Static positions are always valid; dynamic positions follow the mask.
-        combined_valid = cross_valid_mask(num_static, valid_mask)
-        attention_mask = cross_attention_mask(
-            num_static, seq_len, combined_valid, full_attention=self.full_attention
+        return F.pooled_cross_attention(
+            self.attention.project(static_embeddings),
+            history,
+            mean_pool_weights(cross_valid_mask(num_static, valid_mask)),
+            cross_static_mask(num_static, valid_mask),
         )
-
-        interactions = self.attention(combined, mask=attention_mask)
-        return F.masked_mean_pool(interactions, combined_valid, axis=-2)

@@ -11,7 +11,7 @@ for a batch of views; the masks themselves are built by
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -48,10 +48,12 @@ class SelfAttention(Module):
         matrix ``(..., n, n)``: 0 for allowed pairs, a large negative value
         for blocked pairs (the paper's −∞ entries).
         """
-        queries = features @ self.w_query
-        keys = features @ self.w_key
-        values = features @ self.w_value
+        queries, keys, values = self.project(features)
         return F.scaled_dot_product_attention(queries, keys, values, mask=mask)
+
+    def project(self, features: Tensor) -> Tuple[Tensor, Tensor, Tensor]:
+        """Queries, keys and values of ``features`` (the projections of Eq. 6)."""
+        return features @ self.w_query, features @ self.w_key, features @ self.w_value
 
     def attention_weights(self, features: Tensor, mask: Optional[np.ndarray] = None) -> np.ndarray:
         """Return the softmax attention weight matrix (for tests/inspection)."""

@@ -12,6 +12,11 @@ in this module instead.  Each kernel mirrors its autograd counterpart
 Keep the two in lock-step: any change to the math in
 :mod:`repro.autograd.functional` must be reflected here (the parity tests in
 ``tests/test_serving_engine.py`` enforce agreement to 1e-10).
+
+The SeqFM views run on :func:`pooled_attention` (static, dynamic) and
+:func:`pooled_cross_attention` (cross).  The dense attend-then-pool kernels
+(:func:`attend_with_cached_kv`, :func:`mean_pool`, :func:`masked_mean_pool`)
+are the reference those are tested against (``tests/test_pooled_attention.py``).
 """
 
 from __future__ import annotations
@@ -21,14 +26,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 
-def softmax(scores: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis with max-subtraction for stability.
+def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax along ``axis`` with max-subtraction for stability.
 
     Mirrors :func:`repro.autograd.functional.softmax`.
     """
-    shifted = scores - scores.max(axis=-1, keepdims=True)
+    shifted = scores - scores.max(axis=axis, keepdims=True)
     exps = np.exp(shifted)
-    return exps / exps.sum(axis=-1, keepdims=True)
+    return exps / exps.sum(axis=axis, keepdims=True)
 
 
 def attention_scores(
@@ -70,11 +75,10 @@ def project_qkv(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project ``features`` into the query/key/value subspaces (Eq. 6).
 
-    The decomposed half of :func:`scaled_dot_product_attention`: callers that
-    attend many query sets against one shared feature matrix (candidate
-    ranking — C candidates, one history) project the shared rows **once** and
-    reuse the resulting K/V with :func:`attend_with_cached_kv` instead of
-    re-projecting them per candidate.
+    Split out from the attention kernels so that callers attending many
+    query sets against one shared feature matrix (candidate ranking — C
+    candidates, one history) project the shared rows **once** and hand the
+    cached Q/K/V to :func:`pooled_cross_attention`.
     """
     return features @ w_query, features @ w_key, features @ w_value
 
@@ -95,6 +99,66 @@ def attend_with_cached_kv(
     ``(n, d)`` history K/V can serve a ``(C, n, d)`` candidate batch.
     """
     return attention_weights(queries, cached_keys, mask=mask) @ cached_values
+
+
+def pooled_attention(
+    queries: np.ndarray,
+    keys: np.ndarray,
+    values: np.ndarray,
+    row_weights: np.ndarray,
+    mask: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """A pooled attention view: ``(r · softmax(QKᵀ/√d + M)) · V`` → ``(..., d)``.
+
+    Pooling (Eq. 14) is linear, so the ``(..., m)`` pooling weights ``r`` fold
+    into the ``(..., m, n)`` attention weights *before* the value product: the
+    ``(m, n)·(n, d)`` matmul of attend-then-pool becomes ``(1, n)·(n, d)``.
+    Mean pooling is ``r = valid / count``; ``pooling="last"`` is that one
+    query row with ``r = 1``.  Mirrors
+    :func:`repro.autograd.functional.pooled_attention`.
+    """
+    weights = softmax(attention_scores(queries, keys, mask=mask))
+    return ((row_weights[..., None, :] @ weights) @ values)[..., 0, :]
+
+
+def pooled_cross_attention(
+    static_qkv: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    history_qkv: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    row_weights: np.ndarray,
+    static_mask: np.ndarray,
+) -> np.ndarray:
+    """The cross view (Eq. 11-13): pool-before-values attention in two row blocks.
+
+    The cross mask leaves only static↔dynamic pairs of ``[E°; E˙]``, so the
+    ``(T, T)`` score matrix (``T = n° + n˙``) is never built:
+
+    * the n° **static query rows** attend all ``T`` keys under ``static_mask``,
+      their rows of the cross mask — with no valid history event every key
+      sits on the mask floor and the softmax spreads over all of them, which
+      is why these rows keep the static keys;
+    * the n˙ **history query rows** attend the n° static keys only: their
+      history-key columns are always blocked and a static key is always
+      valid, so those weights are exactly 0 in the dense form.
+
+    ``history_qkv`` is per row or one shared ``(n˙, d)`` history broadcast
+    over the leading axes of ``static_qkv`` (ranked candidates, fused-batch
+    groups); ``row_weights`` pools the ``T`` rows.  The history block's scores
+    stay key-major, ``(..., n°, n˙)``.  Mirrors
+    :func:`repro.autograd.functional.pooled_cross_attention`.
+    """
+    q_static, k_static, v_static = static_qkv
+    q_history, k_history, v_history = history_qkv
+    num_static = q_static.shape[-2]
+    scale = 1.0 / np.sqrt(q_static.shape[-1])
+    scores = np.concatenate(
+        [q_static @ np.swapaxes(k_static, -1, -2),
+         q_static @ np.swapaxes(k_history, -1, -2)], axis=-1,
+    ) * scale + static_mask
+    from_static = row_weights[..., None, :num_static] @ softmax(scores)  # (..., 1, T)
+    weights = softmax(k_static @ np.swapaxes(q_history, -1, -2) * scale, axis=-2)
+    from_history = weights @ row_weights[..., num_static:, None]  # (..., n°, 1)
+    on_static = from_static[..., :num_static] + np.swapaxes(from_history, -1, -2)
+    return (on_static @ v_static + from_static[..., num_static:] @ v_history)[..., 0, :]
 
 
 def top_k(

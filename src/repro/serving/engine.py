@@ -6,8 +6,9 @@ backward closure, even under ``no_grad``.  Serving never needs gradients, so
 :class:`InferenceEngine` re-runs the *same* forward math — Eq. 3-19 of the
 paper — directly on the model's parameter arrays with the pure-NumPy kernels
 in :mod:`repro.nn.kernels` and the mask builders in :mod:`repro.core.views`.
-Nothing is duplicated: masks, attention, layer norm and pooling all come from
-the shared implementations, so engine output is identical to
+Nothing is duplicated: every view is one pooled-attention kernel call, the
+same for per-row histories (``score``) and one user's history broadcast over
+candidates (``rank_candidates``), so engine output is identical to
 :meth:`repro.core.model.SeqFM.score` to machine precision (the test suite
 asserts 1e-10).
 
@@ -24,7 +25,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.model import SeqFM
-from repro.core.views import cross_attention_mask, cross_valid_mask, dynamic_attention_mask
+from repro.core.views import (
+    cross_static_mask,
+    cross_valid_mask,
+    dynamic_query_rows,
+    mean_pool_weights,
+)
 from repro.data.features import FeatureBatch, FeatureEncoder, pad_sequences
 from repro.nn import kernels
 from repro.nn.attention import SelfAttention
@@ -43,9 +49,9 @@ class RankingPlan:
     * the padded history encoding and its dynamic linear-term sum;
     * the dynamic view evaluated end to end (attention + pooling + FFN) —
       the n˙²-cost block of the model;
-    * the cross-view Q/K/V projections of the history rows, the shared
-      history↔history score block, and the (candidate-independent) cross
-      attention mask.
+    * the cross-view Q/K/V projections of the history rows, which
+      :func:`repro.nn.kernels.pooled_cross_attention` broadcasts over the
+      candidates (there is no history↔history block: the cross mask blocks it).
 
     A plan snapshots projections of the *current* weights; after a registry
     hot-reload build a fresh plan (``rank_candidates`` without an explicit
@@ -61,9 +67,6 @@ class RankingPlan:
     cross_q_dyn: Optional[np.ndarray]       # (n, d) history queries
     cross_k_dyn: Optional[np.ndarray]       # (n, d) history keys
     cross_v_dyn: Optional[np.ndarray]       # (n, d) history values
-    cross_dyn_dyn_scores: Optional[np.ndarray]  # (n, n) scaled Q˙K˙ᵀ block
-    cross_mask: Optional[np.ndarray]        # (1, T, T) additive attention mask
-    cross_valid: Optional[np.ndarray]       # (1, T) combined validity mask
 
 
 class InferenceEngine:
@@ -151,7 +154,7 @@ class InferenceEngine:
         All candidate-independent work happens here, once: the dynamic
         embeddings, the full dynamic view (attention + pooling + FFN), the
         dynamic linear sum, and the cross-view Q/K/V projections of the
-        history rows plus their shared history↔history score block.
+        history rows.
         """
         model = self._model
         # asarray without a dtype so a float/bool input reaches the dtype
@@ -191,7 +194,7 @@ class InferenceEngine:
         )
 
         dynamic_refined: Optional[np.ndarray] = None
-        cross_q = cross_k = cross_v = cross_dd = cross_mask = cross_valid = None
+        cross_q = cross_k = cross_v = None
         needs_dynamic_embeddings = (
             model.dynamic_view is not None or model.cross_view is not None
         )
@@ -204,20 +207,9 @@ class InferenceEngine:
             dynamic_refined = self._apply_ffn(pooled, view_index)
 
         if model.cross_view is not None:
-            attention = model.cross_view.attention
-            rows = dynamic_embedded[0]  # (n, d)
-            cross_q, cross_k, cross_v = kernels.project_qkv(
-                rows, attention.w_query.data, attention.w_key.data, attention.w_value.data
-            )
-            d = rows.shape[-1]
-            cross_dd = cross_q @ cross_k.T * (1.0 / np.sqrt(d))
-            cross_valid = cross_valid_mask(profile.shape[0], mask)
-            cross_mask = cross_attention_mask(
-                profile.shape[0],
-                dynamic.shape[1],
-                cross_valid,
-                full_attention=model.cross_view.full_attention,
-            )
+            cross_q, cross_k, cross_v = self._project(
+                model.cross_view.attention, dynamic_embedded[0]
+            )  # each (n, d)
 
         return RankingPlan(
             static_profile=profile,
@@ -229,9 +221,6 @@ class InferenceEngine:
             cross_q_dyn=cross_q,
             cross_k_dyn=cross_k,
             cross_v_dyn=cross_v,
-            cross_dyn_dyn_scores=cross_dd,
-            cross_mask=cross_mask,
-            cross_valid=cross_valid,
         )
 
     def rank_candidates(
@@ -251,7 +240,8 @@ class InferenceEngine:
         sum, the cross-view history projections — is computed once via
         :class:`RankingPlan` and broadcast, leaving only the per-candidate
         static work: the static-view attention over n° rows and the
-        cross-view projections/score blocks of the candidate's static rows.
+        cross-view projections and two score blocks of the candidate's
+        static rows.
 
         Returns the raw scores, one per candidate, in candidate order.
         """
@@ -279,8 +269,7 @@ class InferenceEngine:
         refined: List[np.ndarray] = []
         view_index = 0
         if model.static_view is not None:
-            attended = self._attend(model.static_view.attention, static_embedded, mask=None)
-            refined.append(self._apply_ffn(kernels.mean_pool(attended, axis=-2), view_index))
+            refined.append(self._apply_ffn(self._static_view(static_embedded), view_index))
             view_index += 1
         if model.dynamic_view is not None:
             refined.append(
@@ -290,7 +279,11 @@ class InferenceEngine:
             )
             view_index += 1
         if model.cross_view is not None:
-            pooled = self._cross_view_from_plan(static_embedded, plan)
+            pooled = self._cross_view(
+                static_embedded,
+                (plan.cross_q_dyn, plan.cross_k_dyn, plan.cross_v_dyn),
+                plan.dynamic_mask,
+            )
             refined.append(self._apply_ffn(pooled, view_index))
 
         aggregated = np.concatenate(refined, axis=-1)
@@ -373,47 +366,6 @@ class InferenceEngine:
         )
         return ranked.candidates, ranked.scores
 
-    def _cross_view_from_plan(
-        self, static_embedded: np.ndarray, plan: RankingPlan
-    ) -> np.ndarray:
-        """Cross-view pooled representation with the history K/V cached.
-
-        Assembles the (C, T, T) score matrix from four blocks — only the
-        blocks touching a static row involve per-candidate work; the
-        history↔history block comes precomputed from the plan — then runs the
-        exact softmax → weighted-values → masked-pool sequence of
-        :meth:`_cross_view`.
-        """
-        attention = self._model.cross_view.attention
-        num_candidates, num_static, d = static_embedded.shape
-        seq_len = plan.cross_k_dyn.shape[0]
-        scale = 1.0 / np.sqrt(d)
-
-        q_static, k_static, v_static = kernels.project_qkv(
-            static_embedded,
-            attention.w_query.data, attention.w_key.data, attention.w_value.data,
-        )  # each (C, n°, d)
-
-        total = num_static + seq_len
-        scores = np.empty((num_candidates, total, total), dtype=np.float64)
-        scores[:, :num_static, :num_static] = (
-            q_static @ np.swapaxes(k_static, -1, -2) * scale
-        )
-        scores[:, :num_static, num_static:] = q_static @ plan.cross_k_dyn.T * scale
-        scores[:, num_static:, :num_static] = (
-            plan.cross_q_dyn[None] @ np.swapaxes(k_static, -1, -2) * scale
-        )
-        scores[:, num_static:, num_static:] = plan.cross_dyn_dyn_scores
-
-        weights = kernels.softmax(scores + plan.cross_mask)
-        # Blocked weighted sum: the history V rows stay one shared (n, d)
-        # operand instead of being copied out to every candidate row.
-        attended = (
-            weights[:, :, :num_static] @ v_static
-            + weights[:, :, num_static:] @ plan.cross_v_dyn
-        )
-        return kernels.masked_mean_pool(attended, plan.cross_valid, axis=-2)
-
     # ------------------------------------------------------------------ #
     # Forward components (mirror SeqFM._linear_term/_interaction_term)
     # ------------------------------------------------------------------ #
@@ -431,54 +383,53 @@ class InferenceEngine:
 
         pooled_views: List[np.ndarray] = []
         if model.static_view is not None:
-            attended = self._attend(model.static_view.attention, static_embedded, mask=None)
-            pooled_views.append(kernels.mean_pool(attended, axis=-2))
+            pooled_views.append(self._static_view(static_embedded))
         if model.dynamic_view is not None:
             pooled_views.append(
                 self._dynamic_view(dynamic_embedded, batch.dynamic_mask)
             )
         if model.cross_view is not None:
+            history_qkv = self._project(model.cross_view.attention, dynamic_embedded)
             pooled_views.append(
-                self._cross_view(static_embedded, dynamic_embedded, batch.dynamic_mask)
+                self._cross_view(static_embedded, history_qkv, batch.dynamic_mask)
             )
 
         refined = [self._apply_ffn(view, index) for index, view in enumerate(pooled_views)]
         aggregated = np.concatenate(refined, axis=-1)
         return aggregated @ model.projection.data
 
-    def _attend(
-        self, attention: SelfAttention, features: np.ndarray, mask: Optional[np.ndarray]
-    ) -> np.ndarray:
-        queries, keys, values = kernels.project_qkv(
+    @staticmethod
+    def _project(attention: SelfAttention, features: np.ndarray) -> Tuple[np.ndarray, ...]:
+        return kernels.project_qkv(
             features, attention.w_query.data, attention.w_key.data, attention.w_value.data
         )
-        return kernels.attend_with_cached_kv(queries, keys, values, mask=mask)
+
+    def _static_view(self, static_embedded: np.ndarray) -> np.ndarray:
+        queries, keys, values = self._project(self._model.static_view.attention, static_embedded)
+        row_weights = np.full(queries.shape[:-1], 1.0 / queries.shape[-2])
+        return kernels.pooled_attention(queries, keys, values, row_weights)
 
     def _dynamic_view(self, dynamic_embedded: np.ndarray, valid_mask: np.ndarray) -> np.ndarray:
         view = self._model.dynamic_view
-        seq_len = dynamic_embedded.shape[-2]
-        attention_mask = dynamic_attention_mask(seq_len, valid_mask)
-        interactions = self._attend(view.attention, dynamic_embedded, attention_mask)
-        if view.pooling == "last":
-            return interactions[:, -1, :]
-        return kernels.masked_mean_pool(interactions, valid_mask, axis=-2)
+        queries, keys, values = self._project(view.attention, dynamic_embedded)
+        queries, mask, row_weights = dynamic_query_rows(queries, valid_mask, view.pooling)
+        return kernels.pooled_attention(queries, keys, values, row_weights, mask=mask)
 
     def _cross_view(
         self,
         static_embedded: np.ndarray,
-        dynamic_embedded: np.ndarray,
+        history_qkv: Tuple[np.ndarray, ...],
         valid_mask: np.ndarray,
     ) -> np.ndarray:
-        view = self._model.cross_view
+        """``history_qkv``/``valid_mask`` are per row (:meth:`score`) or one
+        user's ``(n, d)`` / ``(1, n)`` broadcast over candidates."""
         num_static = static_embedded.shape[-2]
-        seq_len = dynamic_embedded.shape[-2]
-        combined = np.concatenate([static_embedded, dynamic_embedded], axis=-2)
-        combined_valid = cross_valid_mask(num_static, valid_mask)
-        attention_mask = cross_attention_mask(
-            num_static, seq_len, combined_valid, full_attention=view.full_attention
+        return kernels.pooled_cross_attention(
+            self._project(self._model.cross_view.attention, static_embedded),
+            history_qkv,
+            mean_pool_weights(cross_valid_mask(num_static, valid_mask)),
+            cross_static_mask(num_static, valid_mask),
         )
-        interactions = self._attend(view.attention, combined, attention_mask)
-        return kernels.masked_mean_pool(interactions, combined_valid, axis=-2)
 
     def _apply_ffn(self, pooled: np.ndarray, view_index: int) -> np.ndarray:
         model = self._model

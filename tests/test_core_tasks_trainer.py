@@ -280,25 +280,23 @@ class TestTrainerStopping:
         assert result.stop_reason == "max_epochs"
         assert result.epochs_run == 2
 
-    def test_divergence_stops_training(self, rating_log):
-        """An exploding loss (huge learning rate) must stop the loop early."""
-        from repro.data.features import FeatureEncoder
-        split = leave_one_out_split(rating_log)
-        encoder = FeatureEncoder(rating_log, max_seq_len=5)
-        config = SeqFMConfig(
-            static_vocab_size=encoder.static_vocab_size,
-            dynamic_vocab_size=encoder.dynamic_vocab_size,
-            max_seq_len=5, embed_dim=8, dropout=0.0, seed=0,
-        )
-        task = SeqFMRegressor(config)
-        examples = encoder.encode_training_instances(split.train, use_ratings=True)
-        trainer = Trainer(task, encoder,
-                          config=TrainerConfig(epochs=50, batch_size=16, learning_rate=80.0,
-                                               convergence_tolerance=1e-4,
-                                               divergence_patience=3))
+    def test_divergence_stops_training(self, seqfm_config, encoder, split,
+                                       sampler, monkeypatch):
+        """``divergence_patience`` consecutive epochs that each worsen the
+        loss beyond the divergence tolerance stop the loop; one recovery in
+        between restarts the count."""
+        examples = encoder.encode_training_instances(split.train)
+        trainer = Trainer(SeqFMRanker(seqfm_config), encoder, sampler,
+                          TrainerConfig(epochs=50, batch_size=8,
+                                        convergence_tolerance=1e-4,
+                                        divergence_tolerance=0.05,
+                                        divergence_patience=3))
+        # worse, worse, better (streak resets), then three worsening epochs
+        losses = iter([1.0, 1.2, 1.5, 1.4, 1.6, 2.0, 2.6, 9.9])
+        monkeypatch.setattr(trainer, "_run_epoch", lambda iterator: next(losses))
         result = trainer.fit(examples)
         assert result.stop_reason == "diverged"
-        assert result.epochs_run < 50
+        assert result.epochs_run == 7
 
     def test_plateau_noise_is_not_divergence(self, seqfm_config, encoder, split,
                                              sampler, monkeypatch):

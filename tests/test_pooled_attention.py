@@ -1,0 +1,197 @@
+"""Pool-before-values attention: the block-structured kernels against the dense
+reference they replace, their ``Tensor`` twins against finite differences, and
+the group-deduplicated (``dynamic_tile`` > 1) forward against the untiled one."""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.autograd import Tensor, check_gradients
+from repro.autograd import functional as F
+from repro.core.tasks import SeqFMRanker
+from repro.core.views import (
+    cross_attention_mask,
+    cross_static_mask,
+    cross_valid_mask,
+    dynamic_attention_mask,
+    dynamic_query_rows,
+    mean_pool_weights,
+)
+from repro.nn import kernels
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def view_inputs(draw):
+    """Random view sizes, features, weights and a history validity mask whose
+    rows run from all-padding through left-padded to full."""
+    batch = draw(st.integers(1, 5))
+    num_static = draw(st.integers(1, 4))
+    seq_len = draw(st.integers(1, 12))
+    dim = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = draw(st.lists(st.integers(0, seq_len), min_size=batch, max_size=batch))
+    valid = (np.arange(seq_len)[None, :] >= seq_len - np.array(lengths)[:, None]).astype(float)
+    static = rng.normal(size=(batch, num_static, dim))
+    # padding rows embed to zero, as the real padding_idx embedding does
+    history = rng.normal(size=(batch, seq_len, dim)) * valid[..., None]
+    weights = [rng.normal(size=(dim, dim)) for _ in range(3)]
+    return static, history, valid, weights
+
+
+def dense_cross_view(static, history, valid, weights):
+    """The cross view as it was: full (T, T) attention, then the masked mean."""
+    num_static, seq_len = static.shape[-2], history.shape[-2]
+    combined = np.concatenate([static, history], axis=-2)
+    combined_valid = cross_valid_mask(num_static, valid)
+    attended = kernels.scaled_dot_product_attention(
+        *kernels.project_qkv(combined, *weights),
+        mask=cross_attention_mask(num_static, seq_len, combined_valid),
+    )
+    return kernels.masked_mean_pool(attended, combined_valid)
+
+
+def pooled_cross_view(static, history, valid, weights):
+    num_static = static.shape[-2]
+    return kernels.pooled_cross_attention(
+        kernels.project_qkv(static, *weights),
+        kernels.project_qkv(history, *weights),
+        mean_pool_weights(cross_valid_mask(num_static, valid)),
+        cross_static_mask(num_static, valid),
+    )
+
+
+class TestPooledKernelsMatchDenseReference:
+    @SETTINGS
+    @given(view_inputs())
+    def test_cross_view_per_row_history(self, inputs):
+        static, history, valid, weights = inputs
+        np.testing.assert_allclose(
+            pooled_cross_view(static, history, valid, weights),
+            dense_cross_view(static, history, valid, weights), rtol=0.0, atol=1e-12)
+
+    @SETTINGS
+    @given(view_inputs())
+    def test_cross_view_shared_history_broadcast(self, inputs):
+        """One (n, d) history broadcast over every static row (the ranking
+        form) equals the dense view of that history copied out per row."""
+        static, history, valid, weights = inputs
+        shared = pooled_cross_view(static, history[0], valid[:1], weights)
+        copies = np.broadcast_to(history[0], history.shape)
+        np.testing.assert_allclose(
+            shared,
+            dense_cross_view(static, copies, np.broadcast_to(valid[:1], valid.shape), weights),
+            rtol=0.0, atol=1e-12)
+
+    @SETTINGS
+    @given(view_inputs())
+    def test_cross_static_mask_is_the_static_rows_of_the_dense_mask(self, inputs):
+        static, history, valid, _ = inputs
+        num_static, seq_len = static.shape[-2], history.shape[-2]
+        dense = cross_attention_mask(num_static, seq_len, cross_valid_mask(num_static, valid))
+        rows = np.broadcast_to(cross_static_mask(num_static, valid), dense[:, :num_static].shape)
+        np.testing.assert_array_equal(rows, dense[:, :num_static])
+
+    @SETTINGS
+    @given(view_inputs(), st.sampled_from(["mean", "last"]))
+    def test_dynamic_view(self, inputs, pooling):
+        _, history, valid, weights = inputs
+        queries, keys, values = kernels.project_qkv(history, *weights)
+        attended = kernels.scaled_dot_product_attention(
+            queries, keys, values, mask=dynamic_attention_mask(history.shape[-2], valid))
+        dense = (attended[:, -1, :] if pooling == "last"
+                 else kernels.masked_mean_pool(attended, valid))
+        rows, mask, row_weights = dynamic_query_rows(queries, valid, pooling)
+        np.testing.assert_allclose(
+            kernels.pooled_attention(rows, keys, values, row_weights, mask=mask),
+            dense, rtol=0.0, atol=1e-12)
+
+    @SETTINGS
+    @given(view_inputs())
+    def test_static_view(self, inputs):
+        static, _, _, weights = inputs
+        queries, keys, values = kernels.project_qkv(static, *weights)
+        uniform = np.full(static.shape[:-1], 1.0 / static.shape[-2])
+        np.testing.assert_allclose(
+            kernels.pooled_attention(queries, keys, values, uniform),
+            kernels.mean_pool(kernels.scaled_dot_product_attention(queries, keys, values)),
+            rtol=0.0, atol=1e-12)
+
+
+class TestTensorTwins:
+    """Finite-difference gradients of the differentiable twins, and their
+    forward agreement with the kernels.  Every row keeps at least one valid
+    event: on the mask floor (scores − 1e9) a 1e-6 step is below the float
+    spacing, so finite differences cannot see those rows."""
+
+    VALID = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+
+    def _tensors(self, rng, *shapes):
+        return [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+
+    def test_pooled_attention_gradients(self, rng):
+        weigh = Tensor(rng.normal(size=(2, 4)))
+        mask = dynamic_attention_mask(3, self.VALID)
+        row_weights = mean_pool_weights(self.VALID)
+        inputs = self._tensors(rng, (2, 3, 4), (2, 3, 4), (2, 3, 4))
+
+        def loss(ts):
+            return (F.pooled_attention(ts[0], ts[1], ts[2], row_weights, mask=mask)
+                    * weigh).sum()
+
+        assert check_gradients(loss, inputs)
+        np.testing.assert_allclose(
+            F.pooled_attention(*inputs, row_weights, mask=mask).data,
+            kernels.pooled_attention(*(t.data for t in inputs), row_weights, mask=mask),
+            rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("static_shape", [(2, 2, 4), (3, 2, 2, 4)],
+                             ids=["per-row", "group-broadcast"])
+    def test_pooled_cross_attention_gradients(self, rng, static_shape):
+        weigh = Tensor(rng.normal(size=static_shape[:-2] + (4,)))
+        row_weights = mean_pool_weights(cross_valid_mask(2, self.VALID))
+        static_mask = cross_static_mask(2, self.VALID)
+        inputs = self._tensors(rng, *[static_shape] * 3, *[(2, 3, 4)] * 3)
+
+        def loss(ts):
+            return (F.pooled_cross_attention(ts[:3], ts[3:], row_weights, static_mask)
+                    * weigh).sum()
+
+        assert check_gradients(loss, inputs)
+        arrays = [t.data for t in inputs]
+        np.testing.assert_allclose(
+            F.pooled_cross_attention(inputs[:3], inputs[3:], row_weights, static_mask).data,
+            kernels.pooled_cross_attention(arrays[:3], arrays[3:], row_weights, static_mask),
+            rtol=0.0, atol=1e-12)
+
+
+class TestFusedGroupsEqualUntiled:
+    """A candidate-fused batch (``dynamic_tile`` > 1) projects each group's
+    history once and gathers the projected rows out; dropping the hint
+    projects every row's own copy.  Same loss, same parameter gradients."""
+
+    NUM_DRAWS = 3
+
+    @pytest.mark.parametrize("pooling", ["mean", "last"])
+    def test_loss_and_gradients(self, seqfm_config, encoder, tiny_batch, sampler, pooling):
+        negatives = np.stack([
+            sampler.sample_batch(tiny_batch.user_ids, tiny_batch.object_ids)
+            for _ in range(self.NUM_DRAWS)
+        ])
+        fused = tiny_batch.with_candidates(encoder, negatives)
+        assert fused.dynamic_tile == 1 + self.NUM_DRAWS
+        outcomes = []
+        for batch in (fused, replace(fused, dynamic_tile=1)):
+            task = SeqFMRanker(seqfm_config.with_overrides(pooling=pooling))
+            loss = task.fused_loss(batch, len(tiny_batch), self.NUM_DRAWS)
+            loss.backward()
+            outcomes.append((loss.item(), [p.grad.copy() for p in task.parameters()]))
+        (tiled_loss, tiled_grads), (untiled_loss, untiled_grads) = outcomes
+        assert tiled_loss == pytest.approx(untiled_loss, abs=1e-12)
+        for tiled, untiled in zip(tiled_grads, untiled_grads):
+            np.testing.assert_allclose(tiled, untiled, rtol=0.0, atol=1e-12)

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.config import SeqFMConfig
 from repro.core.model import SeqFM
+from repro.data.features import FeatureBatch, FeatureEncoder, pad_sequences
 from repro.serving import (
     ERROR_CODES,
     PROTOCOL_VERSION,
@@ -565,3 +566,62 @@ class TestGoldenWireFormat:
         )
         assert summary.errors == sum(summary.error_codes.values()) > 0
         assert summary.served > 0
+
+    def test_golden_scores_match_autograd_oracle(self):
+        """Every score in the committed response file, re-derived through
+        ``SeqFM.score`` — the autograd forward, a path the server never takes
+        — at 1e-10.  The byte test above pins the wire format; this one pins
+        the numbers to the oracle rather than to whatever the engine last
+        printed, so a regenerated file cannot silently bless a wrong score."""
+        models = {"golden": make_model(2), "alt": make_model(3)}
+        stored = {name: {} for name in models}   # model -> user -> history
+        checked = 0
+
+        def oracle(model, payload, candidates=None):
+            history = payload.get("history")
+            if history is None:
+                history = stored[model].get(payload.get("user_id"), [])
+            elif "user_id" in payload:
+                stored[model][payload["user_id"]] = list(history)
+            dynamic, mask = pad_sequences([history], CONFIG.max_seq_len)
+            profile = payload["static_indices"]
+            if candidates is None:
+                candidates = [profile[FeatureEncoder.candidate_slot]]
+            return models[model].score(FeatureBatch.for_candidates(
+                profile, candidates, dynamic[0], mask[0]))
+
+        lines = zip(GOLDEN_INPUT.read_text().splitlines(),
+                    GOLDEN_EXPECTED.read_text().splitlines())
+        for raw_request, raw_response in lines:
+            response = json.loads(raw_response)
+            if "error" in response:
+                continue
+            request = json.loads(raw_request)
+            versioned = isinstance(request, dict) and "v" in request
+            head = request.get("head", "score") if versioned else "score"
+            model = request.get("model", "golden") if versioned else "golden"
+            payload = request["payload"] if versioned else request
+            if head == "update":
+                stored[model].setdefault(payload["user_id"], []).extend(payload["events"])
+                continue
+            if head in ("rank-topk", "recommend"):
+                result = response["result"]
+                pool = payload.get("candidates", CATALOG)
+                scores = oracle(model, payload, pool)
+                order = np.argsort(-scores, kind="stable")[: payload.get("k", 3)]
+                assert result["candidates"] == [pool[i] for i in order]
+                served, expected = result["scores"], scores[order]
+            else:
+                payloads = payload if isinstance(payload, list) else [payload]
+                expected = np.concatenate([oracle(model, row) for row in payloads])
+                if head == "classify":
+                    expected = 1.0 / (1.0 + np.exp(-expected))
+                if not versioned:
+                    served = response["scores"]
+                elif isinstance(payload, list):
+                    served = [row["score"] for row in response["results"]]
+                else:
+                    served = [response["result"]["score"]]
+            np.testing.assert_allclose(served, expected, rtol=0.0, atol=1e-10)
+            checked += len(served)
+        assert checked == 22   # every float in the expected file
