@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint sanitize chaos bench bench-train bench-rank bench-retrieve bench-serve bench-concurrency bench-durability bench-online bench-record bench-compare docs-check all
+.PHONY: test lint sanitize chaos bench bench-train bench-rank bench-retrieve bench-serve bench-concurrency bench-durability bench-online bench-record bench-compare import-time docs-check all
 
 # Tier-1 test suite (the acceptance gate for every PR).
 test:
@@ -73,8 +73,8 @@ bench-serve:
 bench-concurrency:
 	$(PYTHON) -m pytest benchmarks/test_serving_concurrency.py -q
 
-# Durability benchmark only: WAL-on vs WAL-off serving throughput (the <10%
-# overhead budget) and crash-recovery time at a 100k-event log (writes
+# Durability benchmark only: WAL-on vs WAL-off serving throughput (the
+# <90 us/line WAL cost budget) and crash-recovery time at a 100k-event log (writes
 # results/serving_durability.txt).
 bench-durability:
 	$(PYTHON) -m pytest benchmarks/test_serving_durability.py -q
@@ -97,6 +97,13 @@ bench-record:
 #   make bench-compare BASE=parent.json NEW=bench/out/record_seed0.json
 bench-compare:
 	python3 -m bench.compare $(BASE) $(NEW)
+
+# Cold-start profile: the 15 costliest imports behind `import repro.serving`
+# (self | cumulative microseconds, costliest last).  What may appear there is
+# the "Import layering" section of docs/ARCHITECTURE.md; the enforcement is
+# tests/test_import_closure.py, which checks the module set, not the seconds.
+import-time:
+	@$(PYTHON) -X importtime -c "import repro.serving" 2>&1 | sort -t'|' -k2 -n | tail -15
 
 # Fail if the documented code blocks have drifted from the public API:
 # extracts and executes every ```python fence in the README and the

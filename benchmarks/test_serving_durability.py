@@ -12,13 +12,16 @@ two registries:
    every mutation is CRC-framed into the write-ahead log with batched
    fsync (``fsync_every=256``) before it lands in memory.
 
-The WAL append is a fixed per-mutation cost while the model forward scales
-with the candidate set, so at the paper's serving workload (ranking a
-candidate list per request) durability must cost **under 10% throughput**
-(asserted).  Measurement is built for a noisy host: the two modes serve
-the stream in *interleaved 100-line chunks* (a load spike hits both sides
-of the ratio), the pass is repeated, and each mode keeps its best pass —
-the closest observable to its noise-free cost.
+The WAL append is a fixed per-mutation cost, independent of the model: the
+gate is therefore on that cost itself — durable minus in-memory time per
+line must stay **under 90 µs** (asserted), which is what the original
+"under 10% throughput" budget came to against the ≈0.9 ms forward it was set
+on.  The ratio to the forward is still printed, but not gated: it moves
+whenever the forward gets faster or slower, with no change to the WAL.
+Measurement is built for a noisy host: the two modes serve the stream in
+*interleaved 100-line chunks* (a load spike hits both sides of the
+difference), the pass is repeated, and each mode keeps its best pass — the
+closest observable to its noise-free cost.
 
 The second half measures the *recovery* bill: the durable registry is cut
 off without a checkpoint (the crash signature) and a fresh
@@ -47,7 +50,7 @@ NUM_USERS = 512
 CHUNK = 100
 REPS = 3
 FSYNC_EVERY = 256
-MAX_OVERHEAD = 0.10
+MAX_WAL_COST_US = 90.0       # per line: one framed append + 1/256 of an fsync
 
 CONFIG = SeqFMConfig(static_vocab_size=NUM_USERS + 256, dynamic_vocab_size=256,
                      max_seq_len=50, embed_dim=64, ffn_layers=1, dropout=0.0,
@@ -121,6 +124,7 @@ def test_wal_overhead_and_recovery_time(tmp_path):
     plain_time = min(plain_times)
     durable_time = min(durable_times)
     overhead = durable_time / plain_time - 1.0
+    wal_cost_us = (durable_time - plain_time) / NUM_LINES * 1e6
 
     durable.sync()
     pre_crash = durable.snapshot()
@@ -151,7 +155,8 @@ def test_wal_overhead_and_recovery_time(tmp_path):
         f"{'in-memory':<12} {plain_time:>10.3f} {NUM_LINES / plain_time:>10.0f}",
         f"{'durable':<12} {durable_time:>10.3f} {NUM_LINES / durable_time:>10.0f}",
         "",
-        f"durability overhead: {overhead:+.1%} (budget < {MAX_OVERHEAD:.0%})",
+        f"durability cost: {wal_cost_us:+.1f} us/line (budget < "
+        f"{MAX_WAL_COST_US:.0f} us), {overhead:+.1%} of this forward",
         f"crash recovery: {wal_records:,} records replayed in "
         f"{recovery_time * 1e3:.1f} ms "
         f"({wal_records / max(recovery_time, 1e-9):,.0f} records/s), "
@@ -161,5 +166,6 @@ def test_wal_overhead_and_recovery_time(tmp_path):
     print("\n" + text)
     export_text("serving_durability", text)
 
-    assert overhead < MAX_OVERHEAD, (
-        f"WAL overhead {overhead:.1%} blew the {MAX_OVERHEAD:.0%} budget")
+    assert wal_cost_us < MAX_WAL_COST_US, (
+        f"WAL cost {wal_cost_us:.1f} us/line blew the "
+        f"{MAX_WAL_COST_US:.0f} us budget")

@@ -11,18 +11,26 @@ intra-view pooling.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 #: Finite stand-in for the paper's −∞ mask entries.
 NEG_INF = -1e9
 
 
+@functools.lru_cache(maxsize=16)
 def causal_mask(seq_len: int) -> np.ndarray:
-    """Dynamic-view mask M˙ (Eq. 10): position i may attend to j only if j ≤ i."""
+    """Dynamic-view mask M˙ (Eq. 10): position i may attend to j only if j ≤ i.
+
+    Built once per ``seq_len`` (every scoring call asks for its model's n˙)
+    and shared by all callers, hence read-only: combine it, never write to it.
+    """
     if seq_len < 1:
         raise ValueError("seq_len must be positive")
     mask = np.full((seq_len, seq_len), NEG_INF, dtype=np.float64)
     mask[np.tril_indices(seq_len)] = 0.0
+    mask.setflags(write=False)
     return mask
 
 

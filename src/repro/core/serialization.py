@@ -1,13 +1,10 @@
-"""Checkpointing: save and restore trained models and experiment results.
+"""Checkpointing: save and restore trained models.
 
 Models are stored as a single ``.npz`` archive containing every parameter
 array plus a JSON-encoded configuration, so a checkpoint is self-describing:
 :func:`load_seqfm` rebuilds the exact architecture before loading the
 weights.  Baselines (and arbitrary modules) can be round-tripped with the
 weight-only helpers as long as the caller reconstructs the module first.
-
-Experiment results (ResultTable objects) are exported to JSON so benchmark
-runs can be archived and compared across commits.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ import numpy as np
 
 from repro.core.config import SeqFMConfig
 from repro.core.model import SeqFM
-from repro.experiments.reporting import ResultTable
 from repro.nn.module import Module
 
 PathLike = Union[str, Path]
@@ -125,44 +121,3 @@ def load_seqfm(path: PathLike) -> SeqFM:
     model = SeqFM(config)
     model.load_state_dict(state)
     return model
-
-
-# --------------------------------------------------------------------------- #
-# Experiment result export
-# --------------------------------------------------------------------------- #
-def save_result_table(table: ResultTable, path: PathLike) -> None:
-    """Export a ResultTable (title, columns, rows, metadata) as JSON."""
-    payload = {
-        "title": table.title,
-        "columns": list(table.columns),
-        "rows": table.as_dict(),
-        "metadata": _jsonable(table.metadata),
-    }
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True))
-
-
-def load_result_table(path: PathLike) -> ResultTable:
-    """Load a ResultTable exported by :func:`save_result_table`."""
-    payload = json.loads(Path(path).read_text())
-    table = ResultTable(title=payload["title"], columns=list(payload["columns"]),
-                        metadata=payload.get("metadata", {}))
-    for name, values in payload["rows"].items():
-        table.add_row(name, values)
-    return table
-
-
-def _jsonable(value):
-    """Best-effort conversion of metadata values into JSON-serialisable types."""
-    if isinstance(value, dict):
-        return {str(key): _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass
@@ -40,10 +39,22 @@ def auc_score(labels: np.ndarray, scores: np.ndarray) -> float:
     num_negative = int(labels.size - num_positive)
     if num_positive == 0 or num_negative == 0:
         raise ValueError("AUC requires at least one positive and one negative example")
-    ranks = stats.rankdata(scores)
-    positive_rank_sum = ranks[positives].sum()
+    positive_rank_sum = _average_ranks(scores.ravel())[positives.ravel()].sum()
     u_statistic = positive_rank_sum - num_positive * (num_positive + 1) / 2.0
     return float(u_statistic / (num_positive * num_negative))
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array; tied values share the mean of their ranks.
+
+    Any NaN makes every rank NaN, so a diverged model reports a NaN AUC
+    instead of a plausible-looking number.
+    """
+    if np.isnan(values).any():
+        return np.full(values.size, np.nan)
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    # A tie group whose last member has rank r holds ranks r-count+1 .. r.
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
 def rmse_score(labels: np.ndarray, probabilities: np.ndarray) -> float:

@@ -14,6 +14,7 @@ provides the standard tools for deciding whether a gap is meaningful:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -136,11 +137,9 @@ def sign_test(
 ) -> PairedComparison:
     """Two-sided sign test: counts cases where model A beats model B.
 
-    Ties are dropped, as is standard.  The exact binomial p-value is computed
-    with the regularised incomplete beta function via scipy.
+    Ties are dropped, as is standard.  The p-value is the exact two-sided
+    binomial one (:func:`_two_sided_binomial_p`).
     """
-    from scipy import stats
-
     a = np.asarray(scores_a, dtype=np.float64)
     b = np.asarray(scores_b, dtype=np.float64)
     if a.shape != b.shape or a.size == 0:
@@ -150,13 +149,30 @@ def sign_test(
     decisive = wins_a + wins_b
     if decisive == 0:
         return PairedComparison(mean_difference=0.0, p_value=1.0, alpha=alpha, num_cases=int(a.size))
-    result = stats.binomtest(wins_a, decisive, p=0.5, alternative="two-sided")
     return PairedComparison(
         mean_difference=float((a - b).mean()),
-        p_value=float(result.pvalue),
+        p_value=_two_sided_binomial_p(wins_a, decisive),
         alpha=alpha,
         num_cases=int(a.size),
     )
+
+
+def _two_sided_binomial_p(wins: int, trials: int) -> float:
+    """P(an outcome no likelier than ``wins``) under ``Binomial(trials, 1/2)``.
+
+    The standard exact-test rule, with the customary 1e-7 relative tolerance
+    for calling two outcomes equally likely; the tests pin a table of
+    reference values.  The comparison stays in exact integers
+    (``C(n, i) ≤ ⌊C(n, wins)·(10⁷ + 1) / 10⁷⌋``), so nothing overflows a float
+    before the final division.  O(trials) big-integer steps.
+    """
+    limit = math.comb(trials, wins) * (10**7 + 1) // 10**7
+    total, coefficient = 0, 1
+    for i in range(trials + 1):
+        if coefficient <= limit:
+            total += coefficient
+        coefficient = coefficient * (trials - i) // (i + 1)
+    return total / 2**trials
 
 
 def per_case_hit_scores(score_lists: Sequence[np.ndarray],

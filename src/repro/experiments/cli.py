@@ -8,7 +8,7 @@ Regenerate any table or figure of the paper from the shell::
     python -m repro.experiments.cli all --scale small --output-dir results/
 
 ``--output`` / ``--output-dir`` export the regenerated tables as JSON via
-:mod:`repro.core.serialization` so runs can be archived and diffed.
+:mod:`repro.experiments.reporting` so runs can be archived and diffed.
 
 Train a model on any registered dataset and write a checkpoint the serving
 runtime loads directly (the train → serve loop)::
@@ -70,7 +70,7 @@ from repro.experiments import (
     run_table4,
     run_table5,
 )
-from repro.experiments.reporting import ResultTable, compare_to_paper
+from repro.experiments.reporting import ResultTable, compare_to_paper, save_result_table
 
 EXPERIMENTS = ("table1", "table2", "table3", "table4", "table5", "figure3", "figure4")
 
@@ -124,8 +124,6 @@ def _print_tables(tables: Dict[str, ResultTable], paper: Dict[str, dict]) -> Non
 
 
 def _export(table: ResultTable, path: Path) -> None:
-    from repro.core.serialization import save_result_table
-
     save_result_table(table, path)
     print(f"wrote {path}")
 

@@ -1,9 +1,15 @@
-"""Result tables and text reporting for the experiment runners."""
+"""Result tables, their JSON export, and text reporting for the experiment runners."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence
+
+import numpy as np
+
+from repro.core.serialization import PathLike, atomic_write_text
 
 
 @dataclass
@@ -49,6 +55,44 @@ class ResultTable:
 
     def __str__(self) -> str:
         return format_table(self)
+
+
+def save_result_table(table: ResultTable, path: PathLike) -> None:
+    """Export a ResultTable (title, columns, rows, metadata) as JSON."""
+    payload = {
+        "title": table.title,
+        "columns": list(table.columns),
+        "rows": table.as_dict(),
+        "metadata": _jsonable(table.metadata),
+    }
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True))
+
+
+def load_result_table(path: PathLike) -> ResultTable:
+    """Load a ResultTable exported by :func:`save_result_table`."""
+    payload = json.loads(Path(path).read_text())
+    table = ResultTable(title=payload["title"], columns=list(payload["columns"]),
+                        metadata=payload.get("metadata", {}))
+    for name, values in payload["rows"].items():
+        table.add_row(name, values)
+    return table
+
+
+def _jsonable(value):
+    """Best-effort conversion of metadata values into JSON-serialisable types."""
+    if isinstance(value, dict):
+        return {str(key): _jsonable(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(item) for item in value]
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, (np.floating,)):
+        return float(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    return str(value)
 
 
 def format_table(table: ResultTable, precision: int = 3, width: int = 10) -> str:

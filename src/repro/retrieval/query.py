@@ -29,8 +29,9 @@ scoring function for one user, empirically rather than analytically:
 Searching the index with the augmented vector ``[q, 1]`` plus the offsets
 ranks the whole catalog by ``q·e_i + w_i + b + offset(partition(i))`` in one
 blocked (or IVF-pruned) sweep.  The per-query cost is one fast-path call over
-``p + n_partitions`` candidates plus a ``(p + n_partitions) × (d + 1)``
-solve — independent of catalog size.
+``p + n_partitions`` candidates plus a ``(d + 1) × (p + n_partitions)``
+matrix-vector product (the design matrix depends only on the index and is
+pseudo-inverted once, at construction) — independent of catalog size.
 
 The surrogate is a retrieval heuristic, never a scoring shortcut: the final
 ranking always comes from the exact engine
@@ -111,6 +112,38 @@ class QueryEncoder:
             )
         self.engine = engine
         self.index = index
+        self._factor()
+
+    def _factor(self) -> None:
+        """Precompute what depends on the index alone (not on the user).
+
+        The fitting set — probe items plus, when present, one representative
+        per partition — and the pseudo-inverse of its ``[e, 1]`` design
+        matrix, cut off where ``lstsq`` cuts off by default, so a request
+        pays one ``(d + 1) × (p + k)`` product instead of a least-squares
+        solve.
+        """
+        index = self.index
+        # Identity of the partition block this factorisation was built for:
+        # ``build_partitions`` replaces it in place (``encode`` re-factors).
+        self._representatives = index.representative_positions
+        self._num_probes = index.probe_positions.shape[0]
+        if index.has_partitions:
+            positions = np.concatenate(
+                [index.probe_positions, index.representative_positions]
+            )
+            self._assignments = index.assignments[positions]
+        else:
+            positions = index.probe_positions
+        self._item_ids = index.item_ids[positions]
+        self._vectors = index.vectors[positions]
+        self._weights = index.weights[positions]
+        # Fit score ≈ q·e + w + b  ⇔  (score − w) ≈ [e, 1] @ [q; b]
+        design = self._vectors.copy()
+        design[:, -1] = 1.0
+        self._design_pinv = np.linalg.pinv(
+            design, rcond=np.finfo(np.float64).eps * max(design.shape)
+        )
 
     def encode(
         self,
@@ -120,41 +153,26 @@ class QueryEncoder:
         plan: Optional[RankingPlan] = None,
     ) -> EncodedQuery:
         """Build the user's query; reuses ``plan`` when the caller has one."""
+        if self.index.representative_positions is not self._representatives:
+            self._factor()
         if plan is None:
             plan = self.engine.prepare_ranking(static_profile, history, history_mask)
-        index = self.index
-        probe_positions = index.probe_positions
-        num_probes = probe_positions.shape[0]
-        if index.has_partitions:
-            positions = np.concatenate(
-                [probe_positions, index.representative_positions]
-            )
-        else:
-            positions = probe_positions
         exact_scores = self.engine.rank_candidates(
-            plan.static_profile, index.item_ids[positions], plan=plan
+            plan.static_profile, self._item_ids, plan=plan
         )
-        # Fit score ≈ q·e + w + b  ⇔  (score − w) ≈ [e, 1] @ [q; b]
-        embeddings = index.embeddings[positions]
-        design = np.concatenate(
-            [embeddings, np.ones((embeddings.shape[0], 1))], axis=1
-        )
-        target = exact_scores - index.weights[positions]
-        solution, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
+        solution = self._design_pinv @ (exact_scores - self._weights)
         q, bias = solution[:-1], float(solution[-1])
         vector = np.concatenate([q, [1.0]])
 
         partition_offsets = None
-        surrogate = index.vectors[positions] @ vector + bias
-        if index.has_partitions:
+        surrogate = self._vectors @ vector + bias
+        if self._representatives is not None:
             # offset_p = exact(rep_p) − surrogate(rep_p): the cluster-level
             # correction the linear functional cannot express.
-            rep_exact = exact_scores[num_probes:]
-            rep_surrogate = surrogate[num_probes:]
+            rep_exact = exact_scores[self._num_probes:]
+            rep_surrogate = surrogate[self._num_probes:]
             partition_offsets = rep_exact - rep_surrogate
-            calibrated = surrogate + partition_offsets[
-                index.assignments[positions]
-            ]
+            calibrated = surrogate + partition_offsets[self._assignments]
             residual = calibrated - exact_scores
         else:
             residual = surrogate - exact_scores

@@ -34,6 +34,17 @@ class TestCausalMask:
         with pytest.raises(ValueError):
             causal_mask(0)
 
+    def test_shared_mask_is_read_only(self):
+        """One array per seq_len is handed to every caller, so a write to it
+        (directly or through a broadcast view) must raise, not corrupt it."""
+        mask = causal_mask(6)
+        assert causal_mask(6) is mask
+        with pytest.raises(ValueError):
+            mask[0, 5] = 0.0
+        with pytest.raises(ValueError):
+            mask[None, :, :][0, 0, 5] = 0.0
+        assert mask[0, 5] == NEG_INF
+
 
 class TestCrossViewMask:
     def test_matches_paper_equation_13(self):

@@ -415,6 +415,42 @@ class TestQueryEncoder:
         fresh = encoder.encode(profile, history)
         np.testing.assert_allclose(query.vector, fresh.vector, atol=1e-12)
 
+    @pytest.mark.parametrize("partition", [True, False])
+    def test_prefactored_fit_matches_lstsq(self, engine, partition):
+        """The pseudo-inverse factored at construction reproduces the
+        per-request ``lstsq`` solve it replaced (reference kept here)."""
+        index = ItemIndex.from_model(engine, CATALOG, partition=partition)
+        encoder = QueryEncoder(engine, index)
+        positions = index.probe_positions
+        if partition:
+            positions = np.concatenate([positions, index.representative_positions])
+        design = np.concatenate(
+            [index.embeddings[positions], np.ones((positions.size, 1))], axis=1
+        )
+        for user in range(4):
+            profile, history = user_request(user)
+            query = encoder.encode(profile, history)
+            exact = engine.rank_candidates(profile, index.item_ids[positions], history)
+            reference, _, _, _ = np.linalg.lstsq(
+                design, exact - index.weights[positions], rcond=None
+            )
+            np.testing.assert_allclose(query.vector[:-1], reference[:-1], rtol=0, atol=1e-9)
+            assert query.bias == pytest.approx(reference[-1], rel=0, abs=1e-9)
+
+    def test_refactors_when_partitions_are_rebuilt(self, engine):
+        """``build_partitions`` mutates the index in place; an encoder built
+        before it must not keep serving the old fitting set."""
+        profile, history = user_request()
+        index = ItemIndex.from_model(engine, CATALOG, partition=False)
+        encoder = QueryEncoder(engine, index)
+        assert encoder.encode(profile, history).partition_offsets is None
+        index.build_partitions(n_partitions=5)
+        stale = encoder.encode(profile, history)
+        fresh = QueryEncoder(engine, index).encode(profile, history)
+        assert stale.partition_offsets.shape == (index.n_partitions,)
+        np.testing.assert_array_equal(stale.vector, fresh.vector)
+        np.testing.assert_array_equal(stale.partition_offsets, fresh.partition_offsets)
+
     def test_rejects_dim_mismatch(self, index):
         other = SeqFM(SeqFMConfig(static_vocab_size=30, dynamic_vocab_size=20,
                                   max_seq_len=4, embed_dim=8, seed=0))

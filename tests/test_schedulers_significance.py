@@ -143,6 +143,31 @@ class TestPairedTests:
         assert comparison.p_value == 1.0
         assert not comparison.significant
 
+    @pytest.mark.parametrize("wins, decisive, expected", [
+        # (wins, n) -> scipy.stats.binomtest(wins, n, p=0.5).pvalue, scipy 1.17.1
+        (0, 1, 1.0),
+        (1, 1, 1.0),
+        (0, 5, 0.0625),
+        (1, 5, 0.375),
+        (3, 10, 0.34375),
+        (5, 10, 1.0),
+        (8, 10, 0.109375),
+        (7, 20, 0.26317596435546875),
+        (15, 20, 0.04138946533203125),
+        (12, 37, 0.04703102743951604),
+        (40, 100, 0.05688793364098089),
+        (61, 100, 0.035200200217704855),
+        (230, 500, 0.08103234960921356),
+        (1040, 2000, 0.07728689056266859),  # C(2000, 1000) overflows a float
+    ])
+    def test_sign_test_matches_scipy_binomtest(self, wins, decisive, expected):
+        ties = 3
+        a = np.r_[np.ones(wins), np.zeros(decisive - wins), np.full(ties, 0.5)]
+        b = np.r_[np.zeros(wins), np.ones(decisive - wins), np.full(ties, 0.5)]
+        comparison = sign_test(a, b)
+        assert comparison.p_value == pytest.approx(expected, rel=0, abs=1e-12)
+        assert comparison.num_cases == decisive + ties
+
     def test_per_case_hit_scores(self):
         score_lists = [np.array([3.0, 1.0, 2.0]), np.array([0.0, 9.0, 1.0])]
         hits = per_case_hit_scores(score_lists, [0, 0], k=1)

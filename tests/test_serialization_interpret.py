@@ -10,7 +10,7 @@ from repro.core import serialization
 from repro.core.interpret import attention_maps, top_history_influences, view_contributions
 from repro.core.model import SeqFM
 from repro.data.features import FeatureBatch
-from repro.experiments.reporting import ResultTable
+from repro.experiments.reporting import ResultTable, load_result_table, save_result_table
 
 
 @pytest.fixture
@@ -61,8 +61,8 @@ class TestResultTableExport:
         table.add_row("SeqFM", {"HR@10": 0.6, "NDCG@10": 0.35})
         table.metadata["dataset_statistics"] = {"users": np.int64(70)}
         path = tmp_path / "table.json"
-        serialization.save_result_table(table, path)
-        restored = serialization.load_result_table(path)
+        save_result_table(table, path)
+        restored = load_result_table(path)
         assert restored.title == table.title
         assert restored.columns == table.columns
         assert restored.rows == table.rows
@@ -74,8 +74,8 @@ class TestResultTableExport:
         table.metadata["array"] = np.arange(3)
         table.metadata["float"] = np.float64(1.5)
         path = tmp_path / "meta.json"
-        serialization.save_result_table(table, path)
-        restored = serialization.load_result_table(path)
+        save_result_table(table, path)
+        restored = load_result_table(path)
         assert restored.metadata["array"] == [0, 1, 2]
         assert restored.metadata["float"] == 1.5
 
