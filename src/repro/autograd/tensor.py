@@ -10,6 +10,15 @@ graph and accumulates gradients into every tensor created with
 Only the operations that the SeqFM model family needs are implemented, but
 each is implemented with full broadcasting support so the neural-network
 layers in :mod:`repro.nn` can be written naturally.
+
+Gradient ownership: an interior node (one with a ``_backward_fn``) keeps its
+first gradient contribution by reference, allocates a sum only when a second
+arrives, and drops ``.grad`` once :meth:`Tensor.backward` has propagated it --
+so a backward closure may pass on the array it received but must never write to
+it.  A leaf copies its first contribution into an array of its own and adds
+later ones in place; ``zero_grad`` clears ``.grad`` but the leaf keeps the array
+for the next step, so a gradient read before ``zero_grad`` is valid until the
+next backward pass writes it -- copy it to keep it.
 """
 
 from __future__ import annotations
@@ -65,6 +74,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _scatter_add(table: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
+    """``table[index] += values`` over first-axis rows, duplicates summed in arrival
+    order: a stable argsort + ``np.add.reduceat`` segment sum writes each row once."""
+    if index.size == 0:
+        return
+    index = np.where(index < 0, index + len(table), index).reshape(-1)
+    order = np.argsort(index, kind="stable")
+    index = index[order]
+    starts = np.flatnonzero(np.r_[True, index[1:] != index[:-1]])
+    values = values.reshape((index.size,) + table.shape[1:])
+    table[index[starts]] += np.add.reduceat(values[order], starts, axis=0)
+
+
 def _as_array(value: ArrayLike, dtype=np.float64) -> np.ndarray:
     if isinstance(value, Tensor):
         return value.data
@@ -90,7 +112,7 @@ class Tensor:
         during :meth:`backward`.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "name")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "name", "_grad_buffer")
 
     __array_priority__ = 100  # ensure ndarray.__add__(Tensor) defers to Tensor
 
@@ -101,6 +123,7 @@ class Tensor:
         self._parents: tuple = ()
         self._backward_fn: Optional[Callable[[np.ndarray], None]] = None
         self.name = name
+        self._grad_buffer: Optional[np.ndarray] = None  # a leaf's gradient memory, kept across zero_grad
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -160,13 +183,24 @@ class Tensor:
             out._backward_fn = backward_fn
         return out
 
+    def _own_grad(self) -> np.ndarray:
+        """Install and return the gradient array this leaf owns.  It is allocated
+        once and reused after every ``zero_grad``: a step then frees nothing that
+        outlived its graph, and the allocator keeps the step's memory mapped."""
+        if self._grad_buffer is None:
+            self._grad_buffer = np.empty_like(self.data)
+        self.grad = self._grad_buffer
+        return self.grad
+
     def _accumulate(self, grad: np.ndarray) -> None:
         """Accumulate a gradient contribution into this tensor."""
         if not self.requires_grad:
             return
         grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
-        if self.grad is None:
-            self.grad = grad.copy()
+        if self._backward_fn is not None:  # interior: by reference, never written in place
+            self.grad = grad if self.grad is None else self.grad + grad
+        elif self.grad is None:  # leaf: owns its gradient
+            np.copyto(self._own_grad(), grad)
         else:
             self.grad += grad
 
@@ -213,7 +247,9 @@ class Tensor:
         for node in reversed(order):
             if node._backward_fn is None or node.grad is None:
                 continue
-            node._backward_fn(node.grad)
+            # Propagated once, then released: a second backward() starts clean.
+            grad, node.grad = node.grad, None
+            node._backward_fn(grad)
 
     # ------------------------------------------------------------------ #
     # Arithmetic
@@ -317,10 +353,18 @@ class Tensor:
                 self._accumulate(grad_a)
                 other._accumulate(grad_b)
                 return
-            grad_a = grad @ np.swapaxes(b, -1, -2)
-            grad_b = np.swapaxes(a, -1, -2) @ grad
-            self._accumulate(grad_a)
-            other._accumulate(grad_b)
+            if b.ndim == 2:
+                # (..., m, k) @ (k, n): the leading axes are more rows of one GEMM.
+                rows = grad.reshape(-1, b.shape[1])
+                if self.requires_grad:
+                    self._accumulate((rows @ b.T).reshape(a.shape))
+                if other.requires_grad:
+                    other._accumulate(a.reshape(-1, b.shape[0]).T @ rows)
+                return
+            if self.requires_grad:
+                self._accumulate(grad @ np.swapaxes(b, -1, -2))
+            if other.requires_grad:
+                other._accumulate(np.swapaxes(a, -1, -2) @ grad)
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -471,7 +515,11 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             full = np.zeros(input_shape, dtype=self.data.dtype)
-            np.add.at(full, index, grad)
+            items = index if isinstance(index, tuple) else (index,)
+            if all(i is None or i is Ellipsis or isinstance(i, (int, np.integer, slice)) for i in items):
+                full[index] = grad  # a basic index selects no element twice
+            else:
+                _scatter_add(full.reshape(-1), np.arange(full.size).reshape(input_shape)[index], grad)
             self._accumulate(full)
 
         return Tensor._make(out_data, (self,), backward)
@@ -481,12 +529,16 @@ class Tensor:
         may be any integer array; gradients scatter-add back into the rows."""
         indices = np.asarray(indices)
         out_data = self.data[indices]
-        input_shape = self.data.shape
 
         def backward(grad: np.ndarray) -> None:
-            full = np.zeros(input_shape, dtype=self.data.dtype)
-            np.add.at(full, indices, grad)
-            self._accumulate(full)
+            if self._backward_fn is not None:
+                table = np.zeros_like(self.data)
+                _scatter_add(table, indices, grad)
+                self._accumulate(table)
+                return
+            if self.grad is None:  # a leaf owns its table: add into the touched rows
+                self._own_grad().fill(0.0)
+            _scatter_add(self.grad, indices, grad)
 
         return Tensor._make(out_data, (self,), backward)
 

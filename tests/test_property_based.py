@@ -52,6 +52,30 @@ class TestAutogradProperties:
         assert check_gradients(lambda ts: (ts[0] * ts[1]).sum(), [x, y], rtol=1e-3, atol=1e-5)
 
     @SETTINGS
+    @given(small_arrays(max_side=5, min_dims=2, max_dims=3), st.data())
+    def test_gather_rows_gradient_is_the_add_at_scatter(self, values, data):
+        rows = values.shape[0]
+        indices = data.draw(hnp.arrays(
+            dtype=np.int64, shape=hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+            elements=st.integers(-rows, rows - 1)))
+        upstream = np.arange(indices.size * values[0].size, dtype=np.float64)
+        upstream = upstream.reshape(indices.shape + values.shape[1:])
+        table = Tensor(values, requires_grad=True)
+        (table.gather_rows(indices) * upstream).sum().backward()
+        expected = np.zeros_like(values)
+        np.add.at(expected, indices, upstream)
+        np.testing.assert_allclose(table.grad, expected, rtol=0, atol=1e-12)
+
+    @SETTINGS
+    @given(small_arrays(max_side=4, min_dims=2, max_dims=4), st.integers(1, 4))
+    def test_shared_weight_gradient_sums_over_every_leading_axis(self, values, width):
+        weight = np.linspace(-1.0, 1.0, values.shape[-1] * width).reshape(-1, width)
+        weight = Tensor(weight, requires_grad=True)
+        (Tensor(values) @ weight).sum().backward()
+        expected = values.reshape(-1, values.shape[-1]).sum(axis=0)[:, None] * np.ones(width)
+        np.testing.assert_allclose(weight.grad, expected, rtol=0, atol=1e-12)
+
+    @SETTINGS
     @given(small_arrays(max_side=4, min_dims=2, max_dims=2))
     def test_softmax_rows_are_distributions(self, values):
         out = F.softmax(Tensor(values), axis=-1).data
