@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint sanitize chaos bench bench-train bench-rank bench-retrieve bench-serve bench-concurrency bench-durability bench-online bench-record bench-compare import-time docs-check all
+.PHONY: test lint sanitize bench bench-train bench-rank bench-retrieve bench-serve bench-durability bench-online bench-record bench-compare import-time docs-check all
 
 # Tier-1 test suite (the acceptance gate for every PR).
 test:
@@ -24,19 +24,14 @@ lint:
 		echo "lint: ruff not installed; skipped (CI runs it)"; \
 	fi
 
-# Runtime lock sanitizer: rerun the concurrency-bearing suites with
-# threading.Lock/RLock instrumented (REPRO_LOCK_SANITIZER=1).  Acquisition
-# order is recorded per thread, inversions fail the offending test on the
-# spot, the observed graph lands in results/lock_sanitizer.json, and the
-# final test asserts observed ⊆ static (so it must run last).
+# Runtime lock sanitizer: rerun the lock-bearing suites (durable store + WAL,
+# serve loop, online retrain) with threading.Lock/RLock instrumented
+# (REPRO_LOCK_SANITIZER=1).  Acquisition order is recorded per thread,
+# inversions fail the offending test on the spot, the observed graph lands in
+# results/lock_sanitizer.json, and the final test asserts observed ⊆ static
+# (so it must run last).
 sanitize:
-	REPRO_LOCK_SANITIZER=1 $(PYTHON) -m pytest tests/test_serving_concurrent.py tests/test_serving_chaos.py tests/test_serving_durability.py tests/test_online_learning.py tests/test_lock_sanitizer.py -q
-
-# Chaos battery: seeded deterministic fault injection against the durable
-# store and the self-healing concurrent runtime (WAL crash recovery, torn
-# writes, retry/backoff, quarantine, the degradation ladder).
-chaos:
-	$(PYTHON) -m pytest tests/test_serving_chaos.py tests/test_serving_durability.py -q
+	REPRO_LOCK_SANITIZER=1 $(PYTHON) -m pytest tests/test_serving_durability.py tests/test_serving_protocol.py tests/test_online_learning.py tests/test_lock_sanitizer.py -q
 
 # Benchmark suite: regenerates the paper's tables/figures and the serving
 # throughput reports into results/*.txt (includes bench-train and bench-rank).
@@ -65,13 +60,6 @@ bench-retrieve:
 # results/serving_protocol_overhead.txt).
 bench-serve:
 	$(PYTHON) -m pytest benchmarks/test_serving_throughput.py -q
-
-# Concurrent-serving benchmark only: the serial router loop vs the concurrent
-# runtime at several worker counts (+ cross-envelope coalescing) under
-# mixed-head traffic; reports p50/p99 latency and throughput, asserts byte
-# parity with the serial path (writes results/serving_concurrency.txt).
-bench-concurrency:
-	$(PYTHON) -m pytest benchmarks/test_serving_concurrency.py -q
 
 # Durability benchmark only: WAL-on vs WAL-off serving throughput (the
 # <90 us/line WAL cost budget) and crash-recovery time at a 100k-event log (writes

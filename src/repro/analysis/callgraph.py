@@ -13,10 +13,10 @@ This module builds that graph once per analysis run and caches it on the
 * ``self.attr.method(...)`` calls resolve through a deliberately *shallow*
   type inference: direct constructor assignments (``self._wal =
   WriteAheadLog(...)``), parameter annotations (``injector:
-  Optional[FaultInjector]``), return annotations (``def _build_store(...)
-  -> Union[UserSequenceStore, ShardedUserSequenceStore]``) and container
-  value types (``self._shards: Dict[Hashable, UserSequenceStore]`` makes
-  ``self._shards[k].snapshot()`` resolve);
+  Optional[FaultInjector]``), return annotations (``def
+  _make_sequence_store(...) -> UserSequenceStore``) and container value
+  types (``self._entries: Dict[str, RegisteredModel]`` makes
+  ``self._entries[name].batcher()`` resolve);
 * bare ``function(...)`` calls resolve to same-module functions first, then
   to a unique intra-package definition (``read_wal``, ``atomic_write_text``);
 * attribute reads that land on an ``@property`` count as calls — a property

@@ -1,8 +1,9 @@
 """lock-discipline: shared state may only be mutated while its lock is held.
 
-The concurrent serving runtime (PR 6) is correct because every mutation of
-cross-thread state happens inside ``with self.<lock>:`` — a property the
-stress tests sample but cannot prove for the *next* edit.  This rule makes it
+The serving runtime's shared state (sequence store, WAL, serve summary, fault
+injector) is thread-safe because every mutation of it happens inside
+``with self.<lock>:`` — a property tests sample but cannot prove for the
+*next* edit.  This rule makes it
 syntactic: a per-module map declares which attributes of which classes are
 shared and which lock guards each one; any write (``self.attr = ...``,
 ``self.attr += ...``, ``self.attr[k] = ...``, ``del self.attr``) or mutating
@@ -83,28 +84,6 @@ DEFAULT_SHARED_STATE: Dict[str, Dict[str, Dict[str, str]]] = {
             "_misses": "_lock",
             "_expired": "_lock",
             "_journal": "_lock",
-            "_sealed": "_lock",
-        },
-        "ShardedUserSequenceStore": {
-            "_shards": "_lock",
-            "_ring": "_lock",
-            "_journal": "_lock",
-        },
-    },
-    "repro/serving/concurrent.py": {
-        "ConcurrentServingRouter": {
-            "_pending": "_pending_lock",
-            "_idle": "_idle_lock",
-            "_process_pool": "_idle_lock",
-            "_groups": "_groups_lock",
-            "_quarantine": "_quarantine_lock",
-            "_pool_restarts": "_idle_lock",
-        },
-        "_Pending": {
-            "_claimed": "_lock",
-        },
-        "HealthMonitor": {
-            "_events": "_lock",
         },
     },
     "repro/serving/service.py": {

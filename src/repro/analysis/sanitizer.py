@@ -30,7 +30,7 @@ records nothing.
 Installation is opt-in, never ambient: ``REPRO_LOCK_SANITIZER=1`` makes the
 session-scoped pytest fixture (``tests/conftest.py``) monkeypatch
 ``threading.Lock`` / ``threading.RLock`` for the whole run — ``make
-sanitize`` wires this around the concurrency, chaos and durability suites.
+sanitize`` wires this around the durability and online-learning suites.
 Locks created outside the repo's own source tree (pytest internals,
 ``concurrent.futures`` plumbing, test-local helpers) pass through
 uninstrumented; unit tests build instrumented locks directly with

@@ -313,27 +313,6 @@ def build_serving_parser(command: str) -> argparse.ArgumentParser:
                              "(default: never; bounds update-head state "
                              "staleness)")
     if command == "serve":
-        parser.add_argument("--workers", type=int, default=None,
-                            help="serve through the concurrent runtime with "
-                                 "this many workers (default: serial loop)")
-        parser.add_argument("--max-inflight", type=int, default=None,
-                            help="admission-control budget: requests in flight "
-                                 "before new lines are rejected with a "
-                                 "structured 'overloaded' error (default: "
-                                 "32 x workers)")
-        parser.add_argument("--shards", type=int, default=1,
-                            help="consistent-hash shards of the user-sequence "
-                                 "store, each independently locked "
-                                 "(default: 1, unsharded)")
-        parser.add_argument("--worker-timeout", type=float, default=None,
-                            help="per-request deadline in seconds; expired "
-                                 "requests get a structured 'timeout' error "
-                                 "(default: none)")
-        parser.add_argument("--coalesce", action="store_true",
-                            help="merge consecutive same-(model, head) lines "
-                                 "into shared micro-batches (scoring heads "
-                                 "trade byte-for-byte parity with the serial "
-                                 "loop for throughput)")
         parser.add_argument("--wal", type=Path, default=None,
                             help="durability directory: write-ahead log every "
                                  "store mutation there, recovering any prior "
@@ -342,11 +321,6 @@ def build_serving_parser(command: str) -> argparse.ArgumentParser:
         parser.add_argument("--fsync-every", type=int, default=256,
                             help="WAL appends per fsync batch (default: 256; "
                                  "1 = fsync every record)")
-        parser.add_argument("--retries", type=int, default=0,
-                            help="retry retryable worker failures this many "
-                                 "times (jittered exponential backoff) before "
-                                 "a structured 'retryable' error; requires "
-                                 "--workers (default: 0)")
     if command in ("serve", "rank-topk", "recommend"):
         parser.add_argument("--k", type=int, default=None,
                             help="default top-K cut for ranking/recommendation "
@@ -418,7 +392,6 @@ def run_serving(command: str, argv: List[str]) -> int:
     head-specific.
     """
     from repro.serving import ModelRegistry, default_heads
-    from repro.serving.concurrent import serve_concurrent_jsonl
     from repro.serving.protocol import cache_stats_payload, cache_summary
     from repro.serving.service import execute_batch, serve_jsonl
 
@@ -426,21 +399,8 @@ def run_serving(command: str, argv: List[str]) -> int:
     if not args.checkpoint.exists():
         print(f"error: checkpoint not found: {args.checkpoint}", file=sys.stderr)
         return 2
-    workers = getattr(args, "workers", None)
-    if workers is not None and workers < 1:
-        print("error: --workers must be positive", file=sys.stderr)
-        return 2
-    retries = getattr(args, "retries", 0)
-    if retries < 0:
-        print("error: --retries must be non-negative", file=sys.stderr)
-        return 2
-    if retries > 0 and workers is None:
-        print("error: --retries requires --workers (the concurrent runtime "
-              "owns the retry loop)", file=sys.stderr)
-        return 2
     registry = ModelRegistry(cache_capacity=args.cache_capacity,
-                             cache_ttl=args.cache_ttl,
-                             cache_shards=getattr(args, "shards", 1))
+                             cache_ttl=args.cache_ttl)
     try:
         registry.load("default", args.checkpoint)
     except (ValueError, KeyError, OSError, zipfile.BadZipFile) as error:
@@ -455,12 +415,12 @@ def run_serving(command: str, argv: List[str]) -> int:
         if args.fsync_every < 1:
             print("error: --fsync-every must be positive", file=sys.stderr)
             return 2
-        from repro.serving.durability import WALCorruptionError
+        from repro.serving.durability import WALError
 
         try:
             durable = registry.enable_durability(
                 "default", args.wal, fsync_every=args.fsync_every)
-        except (WALCorruptionError, ValueError, OSError) as error:
+        except (WALError, ValueError, OSError) as error:
             print(f"error: cannot recover WAL state in {args.wal}: {error}",
                   file=sys.stderr)
             return 2
@@ -520,21 +480,9 @@ def run_serving(command: str, argv: List[str]) -> int:
         return 0
 
     try:
-        if workers is not None:
-            from repro.serving.faults import RetryPolicy
-
-            retry = RetryPolicy(max_attempts=retries + 1) if retries else None
-            summary = serve_concurrent_jsonl(
-                registry, "default", sys.stdin, sys.stdout,
-                head=head, max_batch_size=args.max_batch_size,
-                k=args.k, n_retrieve=getattr(args, "n_retrieve", None),
-                workers=workers, max_inflight=args.max_inflight,
-                timeout=args.worker_timeout, coalesce=args.coalesce,
-                retry=retry)
-        else:
-            summary = serve_jsonl(registry, "default", sys.stdin, sys.stdout,
-                                  head=head, max_batch_size=args.max_batch_size,
-                                  k=args.k, n_retrieve=getattr(args, "n_retrieve", None))
+        summary = serve_jsonl(registry, "default", sys.stdin, sys.stdout,
+                              head=head, max_batch_size=args.max_batch_size,
+                              k=args.k, n_retrieve=getattr(args, "n_retrieve", None))
     except (ValueError, KeyError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -649,7 +597,7 @@ def build_status_parser() -> argparse.ArgumentParser:
 
 def run_status(argv: List[str]) -> int:
     """Report on-disk durability state as JSON; returns an exit code."""
-    from repro.serving.durability import WALCorruptionError, inspect_durability
+    from repro.serving.durability import WALError, inspect_durability
 
     args = build_status_parser().parse_args(argv)
     if not args.wal.is_dir():
@@ -657,7 +605,11 @@ def run_status(argv: List[str]) -> int:
         return 2
     try:
         report = inspect_durability(args.wal)
-    except (WALCorruptionError, ValueError, OSError) as error:
+    except WALError as error:
+        print(f"error: cannot recover WAL state in {args.wal}: {error}",
+              file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as error:
         print(f"error: cannot inspect {args.wal}: {error}", file=sys.stderr)
         return 2
     online_dir = args.online if args.online is not None else args.wal / "online"
@@ -752,7 +704,7 @@ def run_retrain(argv: List[str]) -> int:
         retrain_once,
     )
     from repro.serving import ModelRegistry
-    from repro.serving.durability import WAL_NAME, WALCorruptionError
+    from repro.serving.durability import WAL_NAME, WALError
 
     args = build_retrain_parser().parse_args(argv)
     if not args.checkpoint.exists():
@@ -818,7 +770,11 @@ def run_retrain(argv: List[str]) -> int:
             dry_run=args.dry_run,
             since_seq=args.since_cursor,
         )
-    except (WALCorruptionError, ValueError, KeyError, OSError) as error:
+    except WALError as error:
+        print(f"error: cannot recover WAL state in {args.wal}: {error}",
+              file=sys.stderr)
+        return 2
+    except (ValueError, KeyError, OSError) as error:
         print(f"error: retrain failed: {error}", file=sys.stderr)
         return 2
 

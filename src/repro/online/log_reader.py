@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.core.serialization import atomic_write_text
 from repro.data.features import EncodedExample, FeatureEncoder, pad_sequences
-from repro.serving.durability import SNAPSHOT_NAME, read_wal
+from repro.serving.durability import SNAPSHOT_NAME, load_snapshot_doc, read_wal
 
 PathLike = Union[str, Path]
 
@@ -96,7 +96,7 @@ class LogTail:
     #: WAL record that were compacted into a snapshot — their events are no
     #: longer replayable as training data (0 when nothing was lost).
     compacted_gap: int = 0
-    #: Non-``record`` journal entries in the tail (puts, touches, topology).
+    #: Non-``record`` journal entries in the tail (puts, touches, evictions).
     other_ops: int = 0
     #: Whether the byte-offset fast path was taken (no full log rescan).
     seeked: bool = False
@@ -177,13 +177,16 @@ class InteractionLogReader:
                        seeked=scan.seeked)
 
     def _snapshot_seq(self) -> int:
-        """Highest sequence a checkpoint snapshot has compacted, 0 if none."""
+        """Highest sequence a checkpoint snapshot has compacted, 0 if none.
+
+        A snapshot this build cannot restore raises
+        :class:`~repro.serving.durability.WALError` instead of reading as 0.
+        """
         try:
-            doc = json.loads(
-                (self.wal_path.parent / SNAPSHOT_NAME).read_text())
-            return int(doc.get("seq", 0))
+            doc = load_snapshot_doc(self.wal_path.parent / SNAPSHOT_NAME)
         except (OSError, ValueError):
             return 0
+        return int(doc.get("seq", 0)) if doc is not None else 0
 
     def advance(self, cursor: LogCursor) -> LogCursor:
         """Atomically persist ``cursor`` as the new read position.

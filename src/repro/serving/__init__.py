@@ -25,27 +25,13 @@ production-facing inference layer of the reproduction:
   model routing via :class:`~repro.serving.protocol.ServingRouter`, and
   the stateful ``update`` head that closes the online
   recommend → click → update → recommend loop.
-* :mod:`repro.serving.concurrent` — the concurrent runtime over the same
-  protocol: :class:`~repro.serving.concurrent.ConcurrentServingRouter`
-  dispatches (model, head) micro-batches to a worker pool (thread pool by
-  default, per-model process-pool fallback) with admission control
-  (structured ``overloaded`` backpressure), per-request deadlines
-  (structured ``timeout``), opt-in cross-envelope coalescing, and barrier
-  semantics that keep stateful traffic sequentially consistent — responses
-  stay byte-identical to the serial router, re-keyed by envelope ``id``.
-  The sequence store scales with it:
-  :class:`~repro.serving.cache.ShardedUserSequenceStore` consistent-hashes
-  users over independently locked shards with per-shard
-  ``snapshot()``/``restore()`` for shard moves and replay.
-* :mod:`repro.serving.durability` — durable, self-healing state:
+* :mod:`repro.serving.durability` — durable state:
   :class:`~repro.serving.durability.DurableSequenceStore` write-ahead-logs
   every store mutation (fsync-batched, CRC-framed, torn-tail healing) with
   periodic snapshot + log compaction, recovering byte-identically on
-  restart; :mod:`repro.serving.faults` provides the seeded deterministic
-  :class:`~repro.serving.faults.FaultInjector` and the jittered-exponential
-  :class:`~repro.serving.faults.RetryPolicy` behind the concurrent router's
-  retry / quarantine / degradation-ladder self-healing, all observable live
-  through the ``status`` head.
+  restart, observable live through the ``status`` head;
+  :mod:`repro.serving.faults` provides the seeded deterministic
+  :class:`~repro.serving.faults.FaultInjector` its crash tests drive.
 
 The engine additionally exposes the **candidate ranking fast path**
 (:meth:`~repro.serving.engine.InferenceEngine.rank_candidates`): C candidates
@@ -102,20 +88,7 @@ from repro.serving.batcher import (
     RecommendRequest,
     ScoreRequest,
 )
-from repro.serving.cache import (
-    CacheStats,
-    HashRing,
-    LRUCache,
-    ShardedUserSequenceStore,
-    ShardSealedError,
-    UserSequenceStore,
-)
-from repro.serving.concurrent import (
-    ConcurrentServingRouter,
-    DegradationPolicy,
-    HealthMonitor,
-    serve_concurrent_jsonl,
-)
+from repro.serving.cache import CacheStats, LRUCache, UserSequenceStore
 from repro.serving.durability import (
     WAL_OPS,
     DurableSequenceStore,
@@ -125,17 +98,8 @@ from repro.serving.durability import (
     read_wal,
 )
 from repro.serving.engine import InferenceEngine, RankingPlan
-from repro.serving.faults import (
-    NULL_INJECTOR,
-    FaultInjector,
-    FaultSpec,
-    InjectedFault,
-    RetryPolicy,
-    TransientFault,
-    is_retryable,
-)
+from repro.serving.faults import NULL_INJECTOR, FaultInjector, FaultSpec, InjectedFault
 from repro.serving.protocol import (
-    ERR_RETRYABLE,
     ERROR_CODES,
     PROTOCOL_VERSION,
     Envelope,
@@ -170,18 +134,13 @@ from repro.serving.service import (
 __all__ = [
     "BatcherStats",
     "CacheStats",
-    "ConcurrentServingRouter",
-    "DegradationPolicy",
     "DurableSequenceStore",
-    "ERR_RETRYABLE",
     "ERROR_CODES",
     "Envelope",
     "FaultInjector",
     "FaultSpec",
-    "HashRing",
     "Head",
     "HeadRegistry",
-    "HealthMonitor",
     "InferenceEngine",
     "InjectedFault",
     "LRUCache",
@@ -198,15 +157,11 @@ __all__ = [
     "RecommendRequest",
     "RecoveryReport",
     "RegisteredModel",
-    "RetryPolicy",
     "ScoreRequest",
     "ServeDefaults",
     "ServeSummary",
     "ServingRouter",
-    "ShardSealedError",
-    "ShardedUserSequenceStore",
     "StatusHead",
-    "TransientFault",
     "UpdateRequest",
     "UserSequenceStore",
     "WAL_OPS",
@@ -215,7 +170,6 @@ __all__ = [
     "error_response",
     "execute_batch",
     "inspect_durability",
-    "is_retryable",
     "parse_envelope",
     "parse_rank_request",
     "parse_recommend_request",
@@ -224,6 +178,5 @@ __all__ = [
     "rank_topk_batch",
     "recommend_batch",
     "read_wal",
-    "serve_concurrent_jsonl",
     "serve_jsonl",
 ]

@@ -9,25 +9,16 @@ the most recently used encodings behind an exact fingerprint check: a cached
 entry is reused only when the relevant suffix of the history is unchanged, so
 the cache can never serve a stale sequence.
 
-For the concurrent runtime (:mod:`repro.serving.concurrent`) the store grows
-two capabilities:
-
-* every :class:`UserSequenceStore` is **thread-safe** — one lock guards the
-  LRU map and its counters, so worker threads may encode, record and expire
-  entries concurrently without corrupting state;
-* :class:`ShardedUserSequenceStore` splits the user population over N
-  independent shards by **consistent hashing** (:class:`HashRing`), so lock
-  contention scales down with the shard count and a shard can be detached,
-  snapshotted and replayed on another server (:meth:`snapshot` /
-  :meth:`restore` / :meth:`remove_shard` / :meth:`add_shard`).
+The store is also the serving runtime's only mutable state: the ``update``
+head extends it, :mod:`repro.serving.durability` journals every mutation
+through its journal hook, and :meth:`UserSequenceStore.snapshot` /
+:meth:`UserSequenceStore.restore` round-trip it exactly.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
-from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
@@ -36,12 +27,10 @@ from typing import (
     Generic,
     Hashable,
     Iterable,
-    List,
     Optional,
     Sequence,
     Tuple,
     TypeVar,
-    Union,
 )
 
 import numpy as np
@@ -99,6 +88,10 @@ class LRUCache(Generic[K, V]):
         self.stats.hits += 1
         return self._entries[key]
 
+    def peek(self, key: K) -> Optional[V]:
+        """The cached value or ``None``, leaving recency and stats untouched."""
+        return self._entries.get(key)
+
     def put(self, key: K, value: V) -> Optional[K]:
         """Insert or update ``key``, evicting the LRU entry beyond capacity.
 
@@ -145,18 +138,6 @@ class _CachedSequence:
     stamp: float = 0.0
 
 
-class ShardSealedError(RuntimeError):
-    """The store was sealed (detached from its ring) mid-operation.
-
-    Raised from every state operation of a sealed :class:`UserSequenceStore`.
-    :class:`ShardedUserSequenceStore` seals a shard while detaching it under
-    the topology lock, so a caller that resolved the shard *before* the
-    detach re-routes against the new topology instead of writing into state
-    that has already been snapshotted away.  Never escapes the sharded
-    store's public surface.
-    """
-
-
 #: Journal callback: receives one JSON-safe mutation record (``{"op": ...}``)
 #: *before* the mutation is applied, while the store lock is held.  Raising
 #: from the journal aborts the mutation — write-ahead semantics.
@@ -194,10 +175,9 @@ class UserSequenceStore:
     their history.
 
     The store is **thread-safe**: one reentrant lock guards the LRU map and
-    every counter, so the worker pool of the concurrent serving runtime may
-    hit one store from many threads.  Returned arrays are never mutated in
-    place (updates replace whole entries), so callers may keep using them
-    after the lock is released.
+    every counter, so one store may be shared across threads.  Returned
+    arrays are never mutated in place (updates replace whole entries), so
+    callers may keep using them after the lock is released.
 
     The store is **last-writer-wins**: a request carrying an explicit history
     re-encodes and *replaces* the user's stored suffix (that is how read
@@ -228,14 +208,13 @@ class UserSequenceStore:
         self._lock = threading.RLock()
         self._cache: LRUCache[int, _CachedSequence] = LRUCache(capacity)
         self._journal: Optional[JournalFn] = None
-        self._sealed = False
 
     @property
     def capacity(self) -> int:
         return self._cache.capacity
 
     # ------------------------------------------------------------------ #
-    # Journal (write-ahead durability hook) and sealing
+    # Journal (write-ahead durability hook)
     # ------------------------------------------------------------------ #
     def set_journal(self, journal: Optional[JournalFn]) -> None:
         """Attach (or detach, with ``None``) the mutation journal.
@@ -249,21 +228,6 @@ class UserSequenceStore:
         """
         with self._lock:
             self._journal = journal
-
-    def seal(self) -> None:
-        """Permanently fail all state operations with :class:`ShardSealedError`.
-
-        Called by the sharded store while detaching this shard; waits for
-        (and then excludes) every in-flight operation because it takes the
-        same lock they hold.  ``snapshot``/``stats``/``__len__`` still work —
-        a sealed shard can be inspected and re-homed, never written.
-        """
-        with self._lock:
-            self._sealed = True
-
-    def _ensure_live(self) -> None:  # repro: locked[_lock]
-        if self._sealed:
-            raise ShardSealedError("the store is sealed (shard was detached)")
 
     def _journal_op(self, op: str, user_id: Optional[int] = None,
                     entry: Optional[_CachedSequence] = None,
@@ -327,20 +291,20 @@ class UserSequenceStore:
 
     def __contains__(self, user_id: int) -> bool:
         with self._lock:
-            self._ensure_live()
             cached = self._peek(user_id)
             if cached is not None:
-                self._journal_op("touch", user_id)
+                self._touch(user_id)
             return cached is not None
 
     def _peek(self, user_id: int) -> Optional[_CachedSequence]:  # repro: locked[_lock]
         """The live cached entry, dropping (and counting) TTL-expired ones.
 
-        The recency refresh a hit performs is journaled by the *callers*
-        (as a ``touch``, unless the operation replaces the entry anyway);
-        the expiry pop is journaled here, where it happens.
+        Does not refresh recency: a read hit does that through
+        :meth:`_touch` (an operation that replaces the entry moves it
+        anyway), so a refused journal leaves the LRU order untouched too.
+        The expiry pop is journaled here, where it happens.
         """
-        cached = self._cache.get(user_id)
+        cached = self._cache.peek(user_id)
         if cached is None:
             return None
         if self.ttl is not None and self._clock() - cached.stamp > self.ttl:
@@ -349,6 +313,11 @@ class UserSequenceStore:
             self._expired += 1
             return None
         return cached
+
+    def _touch(self, user_id: int) -> None:  # repro: locked[_lock]
+        """Journal a read hit's recency refresh, then apply it."""
+        self._journal_op("touch", user_id)
+        self._cache.get(user_id)
 
     def encode(self, user_id: int, history: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
         """Padded ``(indices, mask)`` row vectors for ``history``.
@@ -359,11 +328,10 @@ class UserSequenceStore:
         """
         fingerprint = tuple(int(item) for item in list(history)[-self.max_seq_len:])
         with self._lock:
-            self._ensure_live()
             cached = self._peek(user_id)
             if cached is not None and cached.fingerprint == fingerprint:
                 self._hits += 1
-                self._journal_op("touch", user_id)
+                self._touch(user_id)
                 return cached.indices, cached.mask
             self._misses += 1
             entry = self._encode_entry(fingerprint)
@@ -381,11 +349,10 @@ class UserSequenceStore:
         never evict warm users' accumulated ``update``-head state.
         """
         with self._lock:
-            self._ensure_live()
             cached = self._peek(user_id)
             if cached is not None:
                 self._hits += 1
-                self._journal_op("touch", user_id)
+                self._touch(user_id)
                 return cached.indices, cached.mask
             self._misses += 1
             entry = self._encode_entry(())
@@ -398,17 +365,15 @@ class UserSequenceStore:
         (the v1-envelope "server-side sequence" semantic).
         """
         with self._lock:
-            self._ensure_live()
             cached = self._peek(user_id)
             if cached is not None:
-                self._journal_op("touch", user_id)
+                self._touch(user_id)
                 return cached.fingerprint
             return None
 
     def append_event(self, user_id: int, dynamic_index: int) -> None:
         """Extend a cached user's history by one event (no-op on cold users)."""
         with self._lock:
-            self._ensure_live()
             cached = self._peek(user_id)
             if cached is None:
                 return
@@ -428,7 +393,6 @@ class UserSequenceStore:
         """
         events = tuple(int(event) for event in events)
         with self._lock:
-            self._ensure_live()
             cached = self._peek(user_id)
             base = cached.fingerprint if cached is not None else ()
             suffix = (base + events)[-self.max_seq_len:]
@@ -445,27 +409,25 @@ class UserSequenceStore:
     def invalidate(self, user_id: int) -> None:
         """Drop a user's cached encoding."""
         with self._lock:
-            self._ensure_live()
             if user_id in self._cache:
                 self._journal_op("del", user_id)
             self._cache.pop(user_id)
 
     def clear(self) -> None:
         with self._lock:
-            self._ensure_live()
             self._journal_op("clear")
             self._cache.clear()
 
     # ------------------------------------------------------------------ #
-    # Snapshot / restore (shard migration and replay)
+    # Snapshot / restore (checkpointing and replay)
     # ------------------------------------------------------------------ #
     def snapshot(self) -> dict:
         """A JSON-safe copy of the resident state, oldest entry first.
 
         Captures each user's visible suffix and its TTL stamp in LRU → MRU
         order, so :meth:`restore` reproduces both the sequences *and* the
-        eviction/expiry order exactly — the contract that lets a shard be
-        moved to another process or replayed after a crash.  Counters
+        eviction/expiry order exactly — the contract that lets a checkpoint
+        be replayed after a crash.  Counters
         (hits/misses/evictions) are runtime telemetry, not state, and are
         not captured.
         """
@@ -498,356 +460,3 @@ class UserSequenceStore:
                 entry = self._encode_entry(tuple(int(item) for item in fingerprint))
                 entry.stamp = float(stamp)
                 self._cache.put(int(user_id), entry)
-
-
-# --------------------------------------------------------------------------- #
-# Consistent hashing and the sharded store
-# --------------------------------------------------------------------------- #
-class HashRing:
-    """Consistent hashing: keys → shard ids, stable under membership change.
-
-    Each shard contributes ``replicas`` deterministic points (BLAKE2b of
-    ``"shard:<id>:<replica>"``) on a 64-bit ring; a key belongs to the first
-    shard point clockwise of its own hash.  The property the sharded store
-    leans on: adding or removing one shard only remaps the keys on the arcs
-    that shard gains or loses — every other key keeps its assignment, so a
-    resize never invalidates the whole population.  Hashes are content-based
-    (never Python's seeded ``hash()``), so assignments agree across
-    processes and runs.
-    """
-
-    def __init__(self, shard_ids: Iterable[Hashable] = (), replicas: int = 64):
-        if replicas < 1:
-            raise ValueError("replicas must be positive")
-        self.replicas = replicas
-        self._points: List[Tuple[int, Hashable]] = []
-        self._hashes: List[int] = []
-        for shard_id in shard_ids:
-            self.add(shard_id)
-
-    @staticmethod
-    def _hash(token: str) -> int:
-        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "big")
-
-    def _shard_points(self, shard_id: Hashable) -> List[Tuple[int, Hashable]]:
-        return [(self._hash(f"shard:{shard_id}:{replica}"), shard_id)
-                for replica in range(self.replicas)]
-
-    def add(self, shard_id: Hashable) -> None:
-        if shard_id in self:
-            raise ValueError(f"shard {shard_id!r} is already on the ring")
-        self._points.extend(self._shard_points(shard_id))
-        self._points.sort(key=lambda point: point[0])
-        self._hashes = [point for point, _ in self._points]
-
-    def remove(self, shard_id: Hashable) -> None:
-        if shard_id not in self:
-            raise KeyError(f"shard {shard_id!r} is not on the ring")
-        self._points = [point for point in self._points if point[1] != shard_id]
-        self._hashes = [point for point, _ in self._points]
-
-    def shard_for(self, key: Hashable) -> Hashable:
-        """The shard owning ``key`` (first point clockwise of the key hash)."""
-        if not self._points:
-            raise ValueError("the ring has no shards")
-        point = self._hash(f"key:{key}")
-        index = bisect_right(self._hashes, point)
-        return self._points[index % len(self._points)][1]
-
-    def shard_ids(self) -> Tuple[Hashable, ...]:
-        return tuple(sorted({shard_id for _, shard_id in self._points},
-                            key=lambda shard_id: str(shard_id)))
-
-    def __contains__(self, shard_id: Hashable) -> bool:
-        return any(existing == shard_id for _, existing in self._points)
-
-    def __len__(self) -> int:
-        return len(self.shard_ids())
-
-
-class ShardedUserSequenceStore:
-    """A :class:`UserSequenceStore` split over N shards by consistent hashing.
-
-    Drop-in for the single store (same ``encode`` / ``encode_stored`` /
-    ``history`` / ``append_event`` / ``record`` / ``stats`` surface — the
-    micro-batcher and the ``update`` head cannot tell them apart), with three
-    scaling properties the single store lacks:
-
-    * **independent locks** — each shard is its own thread-safe store, so
-      concurrent workers touching different shards never contend;
-    * **stable placement** — :class:`HashRing` assignment means a shard
-      add/remove only remaps the keys whose arcs actually moved
-      (property-tested), not the whole population;
-    * **mobility** — :meth:`snapshot`/:meth:`restore` round-trip a shard's
-      (or the whole store's) state exactly, and :meth:`remove_shard` returns
-      the detached shard's snapshot so it can be re-homed or replayed.
-
-    ``capacity`` is the total resident-user budget, divided evenly across
-    shards (each shard runs its own LRU); ``ttl`` applies per shard with
-    exactly the single-store expiry semantics.
-    """
-
-    def __init__(
-        self,
-        max_seq_len: int,
-        capacity: int = 4096,
-        ttl: Optional[float] = None,
-        clock: Callable[[], float] = time.monotonic,
-        shards: Union[int, Sequence[Hashable]] = 4,
-        replicas: int = 64,
-    ):
-        if isinstance(shards, int):
-            if shards < 1:
-                raise ValueError("shards must be positive")
-            shard_ids: Sequence[Hashable] = list(range(shards))
-        else:
-            shard_ids = list(shards)
-            if not shard_ids:
-                raise ValueError("at least one shard id is required")
-            if len(set(shard_ids)) != len(shard_ids):
-                raise ValueError("shard ids must be unique")
-        self.max_seq_len = max_seq_len
-        self.ttl = ttl
-        self.capacity = capacity
-        self._clock = clock
-        self._replicas = replicas
-        self._lock = threading.RLock()  # guards topology, not per-shard state
-        self._journal: Optional[JournalFn] = None
-        self._shards: Dict[Hashable, UserSequenceStore] = {}
-        self._ring = HashRing(replicas=replicas)
-        for shard_id in shard_ids:
-            self._ring.add(shard_id)
-            self._shards[shard_id] = self._make_shard(len(shard_ids), shard_id)
-
-    def _make_shard(self, num_shards: int, shard_id: Hashable) -> UserSequenceStore:
-        per_shard = max(1, -(-self.capacity // max(1, num_shards)))  # ceil div
-        shard = UserSequenceStore(self.max_seq_len, capacity=per_shard,
-                                  ttl=self.ttl, clock=self._clock)
-        shard.set_journal(self._shard_journal(shard_id))
-        return shard
-
-    # ------------------------------------------------------------------ #
-    # Journal (durability hook, shard-tagged)
-    # ------------------------------------------------------------------ #
-    def set_journal(self, journal: Optional[JournalFn]) -> None:
-        """Attach (or detach) the store-wide mutation journal.
-
-        Per-shard records are tagged with their shard id; topology changes
-        (:meth:`add_shard` / :meth:`remove_shard`) are journaled too, so a
-        replay reconstructs both the entries *and* the ring that places
-        them.  Shard ids must be JSON-safe for a journaled store.
-        """
-        with self._lock:
-            self._journal = journal
-
-    def _shard_journal(self, shard_id: Hashable) -> JournalFn:
-        """The per-shard emitter: tag with the shard id, forward upstream."""
-        def emit(record: dict) -> None:
-            journal = self._journal
-            if journal is not None:
-                journal({**record, "shard": shard_id})
-        return emit
-
-    def _journal_topology(self, op: str, shard_id: Hashable,
-                          snapshot: Optional[dict] = None) -> None:  # repro: locked[_lock]
-        if self._journal is None:
-            return
-        record: Dict[str, object] = {"op": op, "shard_id": shard_id}
-        if snapshot is not None:
-            record["snapshot"] = snapshot
-        self._journal(record)
-
-    def apply_journal(self, record: dict) -> None:
-        """Re-apply one journal record (crash-recovery replay; idempotent)."""
-        op = record["op"]
-        if op == "add_shard":
-            self.add_shard(record["shard_id"], record.get("snapshot"))
-            return
-        if op == "remove_shard":
-            self.remove_shard(record["shard_id"])
-            return
-        with self._lock:
-            shard = self._shards[record["shard"]]
-        shard.apply_journal(record)
-
-    # ------------------------------------------------------------------ #
-    # Placement
-    # ------------------------------------------------------------------ #
-    def shard_for(self, user_id: int) -> Hashable:
-        """The shard id owning ``user_id`` under the current topology."""
-        with self._lock:
-            return self._ring.shard_for(int(user_id))
-
-    def shard_ids(self) -> Tuple[Hashable, ...]:
-        with self._lock:
-            return self._ring.shard_ids()
-
-    def _store(self, user_id: int) -> UserSequenceStore:
-        with self._lock:
-            return self._shards[self._ring.shard_for(int(user_id))]
-
-    def _on_shard(self, user_id: int, operation: Callable[[UserSequenceStore], V]) -> V:
-        """Resolve the owning shard and apply ``operation``, re-routing if
-        the shard was detached between resolution and the call.
-
-        The resolve-then-call window is the :meth:`remove_shard` race: a
-        shard looked up here can be sealed and snapshotted away before
-        ``operation`` runs.  The sealed shard rejects the straggler
-        (:class:`ShardSealedError`) instead of absorbing a write the
-        departed snapshot will never see, and the loop re-resolves against
-        the new topology — a detached shard can never be returned again, so
-        this terminates.
-        """
-        while True:
-            store = self._store(user_id)
-            try:
-                return operation(store)
-            except ShardSealedError:
-                continue
-
-    # ------------------------------------------------------------------ #
-    # UserSequenceStore surface (delegated to the owning shard)
-    # ------------------------------------------------------------------ #
-    def encode(self, user_id: int, history: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-        return self._on_shard(user_id, lambda store: store.encode(user_id, history))
-
-    def encode_stored(self, user_id: int) -> Tuple[np.ndarray, np.ndarray]:
-        return self._on_shard(user_id, lambda store: store.encode_stored(user_id))
-
-    def history(self, user_id: int) -> Optional[Tuple[int, ...]]:
-        return self._on_shard(user_id, lambda store: store.history(user_id))
-
-    def append_event(self, user_id: int, dynamic_index: int) -> None:
-        self._on_shard(user_id,
-                       lambda store: store.append_event(user_id, dynamic_index))
-
-    def record(self, user_id: int, events: Iterable[int]) -> _CachedSequence:
-        events = tuple(events)
-        return self._on_shard(user_id, lambda store: store.record(user_id, events))
-
-    def invalidate(self, user_id: int) -> None:
-        self._on_shard(user_id, lambda store: store.invalidate(user_id))
-
-    def clear(self) -> None:
-        with self._lock:
-            shards = list(self._shards.values())
-        for shard in shards:
-            try:
-                shard.clear()
-            except ShardSealedError:  # detached concurrently: not ours anymore
-                continue
-
-    @property
-    def stats(self) -> CacheStats:
-        """Counters summed across shards (one logical store to operators)."""
-        with self._lock:
-            shards = list(self._shards.values())
-        merged = CacheStats()
-        for shard in shards:
-            stats = shard.stats
-            merged.hits += stats.hits
-            merged.misses += stats.misses
-            merged.evictions += stats.evictions
-        return merged
-
-    def __len__(self) -> int:
-        with self._lock:
-            shards = list(self._shards.values())
-        return sum(len(shard) for shard in shards)
-
-    def __contains__(self, user_id: int) -> bool:
-        return self._on_shard(user_id, lambda store: user_id in store)
-
-    def shard_report(self) -> Dict[str, dict]:
-        """Per-shard health: residency, capacity and counters (for ``status``)."""
-        with self._lock:
-            shards = list(self._shards.items())
-        report: Dict[str, dict] = {}
-        for shard_id, shard in shards:
-            stats = shard.stats
-            report[str(shard_id)] = {
-                "users": len(shard),
-                "capacity": shard.capacity,
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "evictions": stats.evictions,
-            }
-        return report
-
-    # ------------------------------------------------------------------ #
-    # Topology changes and shard mobility
-    # ------------------------------------------------------------------ #
-    def add_shard(self, shard_id: Hashable,
-                  snapshot: Optional[dict] = None) -> None:
-        """Bring a new shard online (optionally pre-seeded from a snapshot).
-
-        Keys whose ring arcs the new shard takes over will miss until their
-        next explicit-history request (or a restore): consistent hashing
-        bounds the churn to exactly those keys.
-        """
-        with self._lock:
-            self._ring.add(shard_id)
-            shard = self._make_shard(len(self._ring), shard_id)
-            if snapshot is not None:
-                shard.restore(snapshot)
-            self._shards[shard_id] = shard
-            self._journal_topology("add_shard", shard_id, snapshot)
-
-    def remove_shard(self, shard_id: Hashable) -> dict:
-        """Detach a shard; returns its snapshot so it can be moved/replayed.
-
-        At least one shard must remain.  Keys the departed shard owned remap
-        to the survivors (and miss until re-seeded); every other key keeps
-        its shard — that stability is the point of the hash ring.
-
-        The detach is atomic with respect to inflight traffic: the ring
-        move, the seal and the snapshot all happen under the topology lock,
-        so a ``record`` that resolved this shard just before the detach
-        either lands *before* the seal (and is captured by the snapshot) or
-        is rejected by the sealed shard and transparently re-routed to the
-        new owner (:meth:`_on_shard`) — a write can never vanish into a
-        detached shard after its snapshot was taken.
-        """
-        with self._lock:
-            if len(self._ring) <= 1:
-                raise ValueError("cannot remove the last shard")
-            self._ring.remove(shard_id)
-            shard = self._shards.pop(shard_id)
-            shard.seal()  # waits out (then excludes) in-flight shard ops
-            snapshot = shard.snapshot()
-            self._journal_topology("remove_shard", shard_id)
-        return snapshot
-
-    def snapshot(self, shard_id: Optional[Hashable] = None) -> dict:
-        """Snapshot one shard (``shard_id``) or the whole store (``None``)."""
-        with self._lock:
-            if shard_id is not None:
-                return self._shards[shard_id].snapshot()
-            return {
-                "max_seq_len": self.max_seq_len,
-                "ttl": self.ttl,
-                "shards": {shard_id: shard.snapshot()
-                           for shard_id, shard in self._shards.items()},
-            }
-
-    def restore(self, snapshot: dict,
-                shard_id: Optional[Hashable] = None) -> None:
-        """Restore one shard (``shard_id``) or the whole store (``None``).
-
-        A whole-store snapshot must cover exactly the current shard ids —
-        restoring a 4-shard snapshot into a 3-shard store would silently
-        drop a shard's users, so it raises instead.
-        """
-        with self._lock:
-            if shard_id is not None:
-                self._shards[shard_id].restore(snapshot)
-                return
-            missing = set(snapshot.get("shards", {})) ^ set(self._shards)
-            if missing:
-                raise ValueError(
-                    f"snapshot shard ids do not match the store's "
-                    f"(difference: {sorted(missing, key=str)})"
-                )
-            for key, shard_snapshot in snapshot["shards"].items():
-                self._shards[key].restore(shard_snapshot)

@@ -13,9 +13,8 @@ survive a crash:
   corruption, which means the disk — not this code — lost data.
 
 * :class:`DurableSequenceStore` — a drop-in
-  :class:`~repro.serving.cache.UserSequenceStore` /
-  :class:`~repro.serving.cache.ShardedUserSequenceStore` facade that
-  journals every mutation to the WAL **before** applying it (write-ahead
+  :class:`~repro.serving.cache.UserSequenceStore` facade that journals
+  every mutation to the WAL **before** applying it (write-ahead
   semantics: a journal append that fails aborts the mutation, so the log is
   always a superset of the applied state), checkpoints the store's
   ``snapshot()`` atomically, compacts the log to the records newer than the
@@ -42,24 +41,19 @@ import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.serialization import atomic_write, atomic_write_text
-from repro.serving.cache import (
-    CacheStats,
-    ShardedUserSequenceStore,
-    UserSequenceStore,
-    _CachedSequence,
-)
+from repro.serving.cache import CacheStats, UserSequenceStore, _CachedSequence
 from repro.serving.faults import NULL_INJECTOR, FaultInjector
 
 PathLike = Union[str, Path]
 
 #: Every op the store journal may emit.  The analyzer's protocol-completeness
-#: rule checks each ``_journal_op``/``_journal_topology`` call site against
-#: this tuple, so a new mutation cannot silently bypass the replay vocabulary.
+#: rule checks each ``_journal_op`` call site against this tuple, so a new
+#: mutation cannot silently bypass the replay vocabulary.
 WAL_OPS = (
     "record",   # update-head write: events appended (the interaction log rows)
     "append",   # append_event: one event extended onto a resident entry
@@ -69,8 +63,6 @@ WAL_OPS = (
     "expire",   # TTL expiry pop
     "evict",    # capacity eviction (redundant on replay, kept for the log)
     "clear",    # clear()
-    "add_shard",     # topology: shard joined (optionally with seed snapshot)
-    "remove_shard",  # topology: shard detached
 )
 
 _SNAPSHOT_NAME = "snapshot.json"
@@ -82,6 +74,8 @@ WAL_NAME = _WAL_NAME
 #: reader how far compaction reached when no journal records survive.
 SNAPSHOT_NAME = _SNAPSHOT_NAME
 _SNAPSHOT_FORMAT = 1
+#: The one store layout this build checkpoints and restores.
+_SNAPSHOT_KIND = "single"
 
 
 class WALError(RuntimeError):
@@ -374,30 +368,31 @@ class WriteAheadLog:
 
 
 # --------------------------------------------------------------------------- #
-# Snapshot document <-> store snapshot (JSON round-trip safety)
+# The checkpoint snapshot document
 # --------------------------------------------------------------------------- #
-def _state_to_doc(state: dict) -> dict:
-    """JSON dicts stringify non-string keys, so shard maps travel as pairs."""
-    if "shards" in state:
-        doc = {key: value for key, value in state.items() if key != "shards"}
-        doc["shards"] = [[shard_id, snap]
-                         for shard_id, snap in state["shards"].items()]
-        return doc
-    return state
+def load_snapshot_doc(path: PathLike) -> Optional[dict]:
+    """The checkpoint document at ``path``, or ``None`` when there is none.
 
-
-def _doc_to_state(doc: dict) -> dict:
-    if "shards" in doc:
-        state = {key: value for key, value in doc.items() if key != "shards"}
-        state["shards"] = {_shard_key(shard_id): snap
-                           for shard_id, snap in doc["shards"]}
-        return state
+    Raises :class:`WALError` for a document this build cannot restore: an
+    unknown ``format``, or a ``kind`` other than the single-store layout
+    (a sharded store's directory carries ``"kind": "sharded"``) — restoring
+    either would silently drop state.
+    """
+    path = Path(path)
+    if not path.exists():
+        return None
+    doc = json.loads(path.read_text())
+    if doc.get("format") != _SNAPSHOT_FORMAT:
+        raise WALError(
+            f"{path} has snapshot format {doc.get('format')!r}; this build "
+            f"reads {_SNAPSHOT_FORMAT}"
+        )
+    if doc.get("kind") != _SNAPSHOT_KIND:
+        raise WALError(
+            f"{path} holds a {doc.get('kind')!r} store snapshot; this build "
+            f"restores only {_SNAPSHOT_KIND!r} stores"
+        )
     return doc
-
-
-def _shard_key(shard_id) -> Hashable:
-    """JSON arrays come back as lists, which cannot key a dict."""
-    return tuple(shard_id) if isinstance(shard_id, list) else shard_id
 
 
 @dataclass
@@ -417,10 +412,10 @@ class RecoveryReport:
 class DurableSequenceStore:
     """A user-sequence store whose every mutation survives a crash.
 
-    Drop-in for :class:`UserSequenceStore` / its sharded sibling (the
-    micro-batcher, the ``update`` head and the routers cannot tell them
-    apart): same ``encode`` / ``encode_stored`` / ``history`` /
-    ``append_event`` / ``record`` / ``stats`` / ``snapshot`` surface, plus
+    Drop-in for :class:`UserSequenceStore` (the micro-batcher, the
+    ``update`` head and the router cannot tell them apart): same ``encode``
+    / ``encode_stored`` / ``history`` / ``append_event`` / ``record`` /
+    ``stats`` / ``snapshot`` surface, plus
 
     * **write-ahead journaling** — the inner store emits one record per
       mutation *before* applying it; the records land in a
@@ -448,8 +443,6 @@ class DurableSequenceStore:
         capacity: int = 4096,
         ttl: Optional[float] = None,
         clock: Callable[[], float] = time.time,
-        shards: Union[int, Sequence[Hashable]] = 1,
-        replicas: int = 64,
         fsync_every: int = 256,
         log_reads: bool = True,
         injector: Optional[FaultInjector] = None,
@@ -462,15 +455,12 @@ class DurableSequenceStore:
         self._wal_path = self.directory / _WAL_NAME
         self._checkpoint_lock = threading.Lock()
 
-        doc = self._load_snapshot_doc()
-        self._store = self._build_store(doc, max_seq_len, capacity, ttl,
-                                        clock, shards, replicas)
-        self._kind = ("sharded"
-                      if isinstance(self._store, ShardedUserSequenceStore)
-                      else "single")
+        doc = load_snapshot_doc(self._snapshot_path)
+        self._store = UserSequenceStore(max_seq_len, capacity=capacity,
+                                        ttl=ttl, clock=clock)
         snapshot_seq = int(doc["seq"]) if doc is not None else 0
         if doc is not None:
-            self._store.restore(_doc_to_state(doc["state"]))
+            self._store.restore(doc["state"])
 
         scan = read_wal(self._wal_path)
         if scan.torn:
@@ -493,41 +483,6 @@ class DurableSequenceStore:
         self._store.set_journal(self._journal_sink)
 
     # -- construction helpers -------------------------------------------- #
-    def _load_snapshot_doc(self) -> Optional[dict]:
-        if not self._snapshot_path.exists():
-            return None
-        doc = json.loads(self._snapshot_path.read_text())
-        if doc.get("format") != _SNAPSHOT_FORMAT:
-            raise WALError(
-                f"{self._snapshot_path} has snapshot format "
-                f"{doc.get('format')!r}; this build reads {_SNAPSHOT_FORMAT}"
-            )
-        return doc
-
-    def _build_store(self, doc, max_seq_len, capacity, ttl, clock,
-                     shards, replicas
-                     ) -> Union[UserSequenceStore, ShardedUserSequenceStore]:
-        """The inner store, with geometry from the snapshot when one exists.
-
-        Topology ops are journaled, so the shard set at checkpoint time —
-        not the configured one — is authoritative for recovery.
-        """
-        if doc is not None and doc["kind"] == "sharded":
-            shard_ids = [_shard_key(shard_id)
-                         for shard_id, _ in doc["state"]["shards"]]
-            return ShardedUserSequenceStore(
-                max_seq_len, capacity=capacity, ttl=ttl, clock=clock,
-                shards=shard_ids, replicas=replicas)
-        if doc is not None:
-            return UserSequenceStore(max_seq_len, capacity=capacity, ttl=ttl,
-                                     clock=clock)
-        if isinstance(shards, int) and shards <= 1:
-            return UserSequenceStore(max_seq_len, capacity=capacity, ttl=ttl,
-                                     clock=clock)
-        return ShardedUserSequenceStore(max_seq_len, capacity=capacity,
-                                        ttl=ttl, clock=clock, shards=shards,
-                                        replicas=replicas)
-
     def _truncate_wal(self, valid_bytes: int) -> None:
         with open(self._wal_path, "r+b") as handle:
             handle.truncate(valid_bytes)
@@ -540,7 +495,6 @@ class DurableSequenceStore:
     # Declared here so the static graph (and the runtime sanitizer's
     # observed ⊆ static check) knows the intended order:
     # repro: lock-edge[UserSequenceStore._lock -> WriteAheadLog._lock]
-    # repro: lock-edge[ShardedUserSequenceStore._lock -> WriteAheadLog._lock]
     def _journal_sink(self, record: dict) -> None:
         """The inner store's journal: every mutation record → WAL append."""
         if not self.log_reads and record.get("op") == "touch":
@@ -563,8 +517,8 @@ class DurableSequenceStore:
             seq = self._wal.last_seq
             state = self._store.snapshot()
             self._wal.sync()
-            doc = {"format": _SNAPSHOT_FORMAT, "kind": self._kind,
-                   "seq": seq, "state": _state_to_doc(state)}
+            doc = {"format": _SNAPSHOT_FORMAT, "kind": _SNAPSHOT_KIND,
+                   "seq": seq, "state": state}
             # Persisting the snapshot and compacting under the checkpoint
             # lock is the point — one checkpoint at a time, serialized
             # against close().  Serving traffic takes the store/WAL locks,
@@ -647,33 +601,18 @@ class DurableSequenceStore:
     def clear(self) -> None:
         self._store.clear()
 
-    def snapshot(self, *args, **kwargs) -> dict:
-        return self._store.snapshot(*args, **kwargs)
+    def snapshot(self) -> dict:
+        return self._store.snapshot()
 
-    def restore(self, snapshot: dict, *args, **kwargs) -> None:
+    def restore(self, snapshot: dict) -> None:
         """Restore then re-checkpoint: bulk state swaps bypass the journal,
         so the snapshot file — not the WAL — must carry the new state."""
         self._store.set_journal(None)
         try:
-            self._store.restore(snapshot, *args, **kwargs)
+            self._store.restore(snapshot)
         finally:
             self._store.set_journal(self._journal_sink)
         self.checkpoint()
-
-    def shard_report(self) -> Optional[Dict[str, dict]]:
-        """Per-shard health when sharded, else ``None``."""
-        report = getattr(self._store, "shard_report", None)
-        return report() if report is not None else None
-
-    def shard_ids(self):
-        return self._store.shard_ids()  # type: ignore[union-attr]
-
-    def add_shard(self, shard_id: Hashable,
-                  snapshot: Optional[dict] = None) -> None:
-        self._store.add_shard(shard_id, snapshot)  # type: ignore[union-attr]
-
-    def remove_shard(self, shard_id: Hashable) -> dict:
-        return self._store.remove_shard(shard_id)  # type: ignore[union-attr]
 
 
 # --------------------------------------------------------------------------- #
@@ -684,7 +623,8 @@ def inspect_durability(directory: PathLike) -> dict:
 
     Reads the snapshot header and scans the WAL: sequence positions, per-op
     record counts, torn-tail state and on-disk sizes — the offline half of
-    the ``status`` head.
+    the ``status`` head.  Raises :class:`WALError` on a snapshot this build
+    cannot restore (see :func:`load_snapshot_doc`).
     """
     directory = Path(directory)
     snapshot_path = directory / _SNAPSHOT_NAME
@@ -694,21 +634,12 @@ def inspect_durability(directory: PathLike) -> dict:
         "snapshot": None,
         "wal": None,
     }
-    if snapshot_path.exists():
-        doc = json.loads(snapshot_path.read_text())
-        state = doc.get("state", {})
-        if doc.get("kind") == "sharded":
-            users = sum(len(snap.get("entries", ()))
-                        for _, snap in state.get("shards", ()))
-            shards = len(state.get("shards", ()))
-        else:
-            users = len(state.get("entries", ()))
-            shards = 1
+    doc = load_snapshot_doc(snapshot_path)
+    if doc is not None:
         summary["snapshot"] = {
             "seq": int(doc.get("seq", 0)),
-            "kind": doc.get("kind"),
-            "shards": shards,
-            "users": users,
+            "kind": doc["kind"],
+            "users": len(doc.get("state", {}).get("entries", ())),
             "bytes": snapshot_path.stat().st_size,
         }
     if wal_path.exists():

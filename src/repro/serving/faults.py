@@ -1,26 +1,18 @@
-"""Deterministic fault injection and retry policy for the serving runtime.
+"""Deterministic fault injection for the serving runtime's durable state.
 
 Robustness claims are only as good as the failures they were tested against,
-and real failures (a torn disk write, a worker that dies mid-batch, an fsync
-that never returns) are miserable to reproduce.  This module makes them
-cheap and *deterministic*:
-
-* :class:`FaultInjector` — a seeded registry of fault specs, keyed by
-  **site** name (``"wal.append"``, ``"store.record"``, ``"executor.unit"``,
-  …).  Production code calls :meth:`FaultInjector.hit` at each site; with no
-  spec armed that is one dict lookup, so the hooks stay in the hot path
-  permanently.  Tests arm :class:`FaultSpec` objects (raise / delay / torn
-  byte truncation, with probability, count and trigger-offset controls) and
-  replay the exact same failure schedule from the same seed.
-
-* :class:`RetryPolicy` — exponential backoff with **full jitter**
-  (AWS-style: sleep is uniform on ``[0, min(cap, base·2^attempt))``), the
-  client half of self-healing.  Faults marked retryable
-  (:func:`is_retryable`) are retried by the concurrent router before a
-  structured ``retryable`` error is emitted.
+and real failures (a torn disk write, an fsync that never returns) are
+miserable to reproduce.  :class:`FaultInjector` makes them cheap and
+*deterministic*: a seeded registry of fault specs, keyed by **site** name
+(``"wal.append"``, ``"wal.torn"``, ``"wal.fsync"``, ``"store.record"``).
+Production code calls :meth:`FaultInjector.hit` at each site; with no spec
+armed that is one dict lookup, so the hooks stay in the hot path
+permanently.  Tests arm :class:`FaultSpec` objects (raise / delay / torn
+byte truncation, with probability, count and trigger-offset controls) and
+replay the exact same failure schedule from the same seed.
 
 Everything here is dependency-free and importable from kernels to tests;
-the injector is thread-safe so worker pools can share one schedule.
+the injector is thread-safe so concurrent callers can share one schedule.
 """
 
 from __future__ import annotations
@@ -34,33 +26,11 @@ from typing import Dict, List, Optional
 
 
 class InjectedFault(RuntimeError):
-    """A failure raised by an armed :class:`FaultSpec`.
+    """A failure raised by an armed :class:`FaultSpec`; carries its site."""
 
-    Carries the site it fired at and whether the operation is safe to retry
-    (``retryable`` faults fire *before* any state mutation at their site, so
-    re-running the operation cannot double-apply anything).
-    """
-
-    def __init__(self, site: str, message: str = "", retryable: bool = False):
+    def __init__(self, site: str, message: str = ""):
         super().__init__(message or f"injected fault at {site!r}")
         self.site = site
-        self.retryable = retryable
-
-
-def is_retryable(error: BaseException) -> bool:
-    """Whether ``error`` advertises itself as safe to retry."""
-    return bool(getattr(error, "retryable", False))
-
-
-class TransientFault(RuntimeError):
-    """A real (non-injected) infrastructure failure that is safe to retry.
-
-    Raised by runtime components when an operation failed *before* any state
-    mutation — e.g. a crashed worker-process pool that has been restarted —
-    so the retry loop treats it exactly like a retryable injected fault.
-    """
-
-    retryable = True
 
 
 @dataclass
@@ -83,8 +53,6 @@ class FaultSpec:
     after:
         Skip the first ``after`` eligible hits before becoming live —
         "fail the third append" is ``after=2, times=1``.
-    retryable:
-        Tag raised faults as retryable (see :func:`is_retryable`).
     delay:
         Sleep length for ``kind="delay"``.
     keep_bytes:
@@ -100,7 +68,6 @@ class FaultSpec:
     probability: float = 1.0
     times: Optional[int] = None
     after: int = 0
-    retryable: bool = False
     delay: float = 0.0
     keep_bytes: int = 0
     match: Optional[str] = None
@@ -120,7 +87,7 @@ class FaultInjector:
     """A seeded, thread-safe schedule of failures at named sites.
 
     The same seed and the same sequence of ``hit``/``torn`` calls produce
-    the same firings — chaos tests are reproducible runs, not dice rolls.
+    the same firings — fault tests are reproducible runs, not dice rolls.
     An injector with nothing armed is effectively free (one attribute read
     per site), so production paths keep their hooks unconditionally; the
     module-level :data:`NULL_INJECTOR` is the shared always-quiet default.
@@ -180,7 +147,7 @@ class FaultInjector:
                 if spec.kind == "delay":
                     delay = max(delay, spec.delay)
                 else:
-                    fault = InjectedFault(site, retryable=spec.retryable)
+                    fault = InjectedFault(site)
                     break
         if delay > 0.0:
             time.sleep(delay)
@@ -208,35 +175,3 @@ class FaultInjector:
 
 #: The shared always-quiet injector production paths default to.
 NULL_INJECTOR = FaultInjector()
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential backoff with full jitter, deterministic per seed.
-
-    ``max_attempts`` counts the first try: ``max_attempts=3`` means one try
-    plus up to two retries.  The sleep before retry *n* (1-based) is uniform
-    on ``[0, min(max_delay, base_delay · 2^(n-1))]`` — full jitter, which
-    decorrelates competing clients far better than equal or proportional
-    jitter — drawn from an RNG keyed by ``(seed, n)`` so a given policy
-    produces one reproducible schedule.
-    """
-
-    max_attempts: int = 3
-    base_delay: float = 0.005
-    max_delay: float = 0.25
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ValueError("delays must be non-negative")
-
-    def backoff(self, attempt: int) -> float:
-        """Sleep length before retry ``attempt`` (1-based)."""
-        if attempt < 1:
-            raise ValueError("attempt is 1-based")
-        cap = min(self.max_delay, self.base_delay * (2.0 ** (attempt - 1)))
-        rng = random.Random(zlib.crc32(f"{self.seed}:{attempt}".encode("utf-8")))
-        return rng.uniform(0.0, cap)

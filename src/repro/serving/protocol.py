@@ -88,18 +88,6 @@ ERR_BAD_REQUEST = "bad_request"
 #: The request parsed cleanly but the model could not answer it (for example
 #: an out-of-vocabulary index surfacing from the engine).
 ERR_EXECUTION = "execution_error"
-#: The server's admission control rejected the request: the bounded inflight
-#: queue of the concurrent runtime was full (backpressure, not failure — the
-#: client should retry after a delay).
-ERR_OVERLOADED = "overloaded"
-#: A worker did not answer the request within the configured deadline; the
-#: stream keeps flowing instead of hanging on the stuck batch.
-ERR_TIMEOUT = "timeout"
-#: The request failed on a transient fault (injected or infrastructure) and
-#: the server's retry budget ran out — the request itself is fine and may be
-#: resubmitted; WAL appends are idempotent by sequence number, so a retried
-#: write can never double-apply.
-ERR_RETRYABLE = "retryable"
 
 #: Every code a response's ``error.code`` field may carry — the stable,
 #: client-facing contract; messages may be reworded, codes may not.
@@ -111,9 +99,6 @@ ERROR_CODES = (
     ERR_UNKNOWN_MODEL,
     ERR_BAD_REQUEST,
     ERR_EXECUTION,
-    ERR_OVERLOADED,
-    ERR_TIMEOUT,
-    ERR_RETRYABLE,
 )
 
 
@@ -605,10 +590,9 @@ class StatusHead(Head):
 
     One request, one payload (an empty mapping — reserved keys may arrive
     later), one result: the router's :meth:`ServingRouter.status_payload` —
-    per-model store residency, cache and WAL/durability counters, shard
-    health, and (on the concurrent router) inflight depth, degradation
-    level, quarantine and retry state.  Per-code error counts come from the
-    serve loop's summary when one is attached.
+    per-model store residency, cache and WAL/durability counters, the
+    retrieval backend and the retrain lineage.  Per-code error counts come
+    from the serve loop's summary when one is attached.
     """
 
     name = "status"
@@ -842,14 +826,13 @@ class ServingRouter:
         """The operational-state document the ``status`` head serves.
 
         Covers every registered model: store residency and cache counters,
-        shard health when the store is sharded, WAL/durability counters
-        when the store is durable, the retrieval backend's ``n_probe``
-        dial, and — once the online promotion pipeline has attached a
-        :class:`~repro.online.promotion.ModelLineage` — a ``retrain`` block
-        with the version lineage (active tag, promoted/rejected counts,
-        consumed cursor).  The concurrent router extends this with its runtime state;
-        serve loops attach their :class:`~repro.serving.service.ServeSummary`
-        as ``router.summary`` so per-code error counts appear too.
+        WAL/durability counters when the store is durable, the retrieval
+        backend's ``n_probe`` dial, and — once the online promotion
+        pipeline has attached a :class:`~repro.online.promotion.ModelLineage`
+        — a ``retrain`` block with the version lineage (active tag,
+        promoted/rejected counts, consumed cursor).  Serve loops attach
+        their :class:`~repro.serving.service.ServeSummary` as
+        ``router.summary`` so per-code error counts appear too.
         """
         models: Dict[str, dict] = {}
         for model_name in self.registry.names():
@@ -861,11 +844,6 @@ class ServingRouter:
                 "cache": {"hits": stats.hits, "misses": stats.misses,
                           "evictions": stats.evictions},
             }
-            shard_report = getattr(store, "shard_report", None)
-            if shard_report is not None:
-                shards = shard_report()
-                if shards is not None:
-                    info["shards"] = shards
             wal_status = getattr(store, "wal_status", None)
             if wal_status is not None:
                 info["wal"] = wal_status()

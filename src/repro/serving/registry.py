@@ -46,7 +46,7 @@ from repro.serving.batcher import (
     RecommendRequest,
     ScoreRequest,
 )
-from repro.serving.cache import ShardedUserSequenceStore, UserSequenceStore
+from repro.serving.cache import UserSequenceStore
 from repro.serving.engine import InferenceEngine
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle: retrieval imports the engine
@@ -77,8 +77,10 @@ class RegisteredModel:
     name: str
     model: SeqFM
     engine: InferenceEngine
-    #: Single or sharded store — same surface, chosen by ``cache_shards``.
-    sequence_store: Union[UserSequenceStore, ShardedUserSequenceStore]
+    #: The user-sequence store; :meth:`ModelRegistry.enable_durability`
+    #: swaps in a same-surface
+    #: :class:`~repro.serving.durability.DurableSequenceStore`.
+    sequence_store: UserSequenceStore
     source: Optional[Path] = None
     #: Catalog snapshot for two-stage retrieval; attached by
     #: :meth:`ModelRegistry.build_index` / :meth:`ModelRegistry.load_index`.
@@ -137,30 +139,15 @@ class ModelRegistry:
         Optional time-to-live in seconds for stored user sequences — the
         staleness bound for server-side state maintained by the ``update``
         serving head (``None``: never expire).
-    cache_shards:
-        Number of consistent-hash shards each model's sequence store is
-        split over (:class:`ShardedUserSequenceStore`).  ``1`` (the default)
-        keeps the single-store layout; higher values reduce lock contention
-        under the concurrent serving runtime and make per-shard
-        snapshot/restore available.
     """
 
     def __init__(self, cache_capacity: int = 4096,
-                 cache_ttl: Optional[float] = None,
-                 cache_shards: int = 1):
-        if cache_shards < 1:
-            raise ValueError("cache_shards must be positive")
+                 cache_ttl: Optional[float] = None):
         self.cache_capacity = cache_capacity
         self.cache_ttl = cache_ttl
-        self.cache_shards = cache_shards
         self._entries: Dict[str, RegisteredModel] = {}
 
-    def _make_sequence_store(self, max_seq_len: int):
-        if self.cache_shards > 1:
-            return ShardedUserSequenceStore(
-                max_seq_len, capacity=self.cache_capacity, ttl=self.cache_ttl,
-                shards=self.cache_shards,
-            )
+    def _make_sequence_store(self, max_seq_len: int) -> UserSequenceStore:
         return UserSequenceStore(max_seq_len, capacity=self.cache_capacity,
                                  ttl=self.cache_ttl)
 
@@ -390,11 +377,10 @@ class ModelRegistry:
 
         Builds a :class:`~repro.serving.durability.DurableSequenceStore` in
         ``directory`` — recovering any prior snapshot + write-ahead log it
-        finds there — with this registry's cache geometry (capacity, TTL,
-        shards), and installs it as the model's store.  All serving paths
-        (heads, batchers, the concurrent runtime) pick it up transparently;
-        returns the durable store so callers can ``checkpoint()``/``close()``
-        it at shutdown.
+        finds there — with this registry's cache geometry (capacity, TTL),
+        and installs it as the model's store.  All serving paths (heads,
+        batchers, the router) pick it up transparently; returns the durable
+        store so callers can ``checkpoint()``/``close()`` it at shutdown.
         """
         from repro.serving.durability import DurableSequenceStore
 
@@ -404,7 +390,6 @@ class ModelRegistry:
             entry.model.config.max_seq_len,
             capacity=self.cache_capacity,
             ttl=self.cache_ttl,
-            shards=self.cache_shards,
             fsync_every=fsync_every,
             log_reads=log_reads,
             injector=injector,

@@ -245,12 +245,11 @@ class ServeSummary:
         How many errored lines carried each stable error code — the
         operator-facing breakdown (``{"bad_request": 2, "bad_json": 1}``).
 
-    The summary is **thread-safe**: the concurrent serving runtime resolves
-    responses from a pool of workers, so every mutation goes through one
-    internal lock (:meth:`record_line`, :meth:`record_rows`,
-    :meth:`record_error`, :meth:`merge`).  Counts recorded under contention
-    sum exactly — regression-tested, because a torn ``+=`` under load is the
-    kind of bug a happy-path demo never shows.
+    The summary is **thread-safe**: every mutation goes through one internal
+    lock (:meth:`record_line`, :meth:`record_rows`, :meth:`record_error`,
+    :meth:`merge`) and :meth:`counts` copies under it, so counts recorded
+    from several threads sum exactly — regression-tested, because a torn
+    ``+=`` under load is the kind of bug a happy-path demo never shows.
     """
 
     rows: int = 0
@@ -292,7 +291,7 @@ class ServeSummary:
             }
 
     def merge(self, other: "ServeSummary") -> None:
-        """Fold a worker-local summary into this one (all counters summed)."""
+        """Fold another summary into this one (all counters summed)."""
         if other is self:
             raise ValueError("cannot merge a summary into itself")
         with other._lock:

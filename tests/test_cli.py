@@ -142,6 +142,19 @@ class TestServingCommands:
                  "--head", "update"]
             )
 
+    @pytest.mark.parametrize("option", [
+        ("workers", "2"), ("max-inflight", "8"), ("shards", "2"),
+        ("worker-timeout", "1"), ("coalesce",), ("retries", "1"),
+    ])
+    def test_serve_rejects_removed_concurrency_options(self, checkpoint,
+                                                       capsys, option):
+        """An old command line fails loudly instead of quietly running serial."""
+        name, *value = option
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--checkpoint", str(checkpoint), f"--{name}", *value])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: --{name}" in capsys.readouterr().err
+
     def test_serve_stream_envelopes_and_error_codes(self, checkpoint, capsys,
                                                     monkeypatch):
         """The serve subcommand speaks the v1 envelope protocol end to end:

@@ -484,7 +484,5 @@ class TestStaticLockEdges:
         edges = static_lock_edges([REPO_ROOT / "src"], root=REPO_ROOT)
         # The journal callback (declared) and the checkpoint path (derived).
         assert ("UserSequenceStore._lock", "WriteAheadLog._lock") in edges
-        assert ("ShardedUserSequenceStore._lock",
-                "UserSequenceStore._lock") in edges
         assert ("DurableSequenceStore._checkpoint_lock",
                 "WriteAheadLog._lock") in edges

@@ -160,8 +160,7 @@ class TestSanitizerInstall:
         sanitizer = LockSanitizer()
         sanitizer.install()
         try:
-            store = DurableSequenceStore(tmp_path / "state", max_seq_len=4,
-                                         shards=2)
+            store = DurableSequenceStore(tmp_path / "state", max_seq_len=4)
             store.record(1, [3, 4])
             store.record(2, [5])
             store.append_event(1, 6)

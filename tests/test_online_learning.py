@@ -803,6 +803,16 @@ class TestOnlineCLI:
         assert not any(online.glob("*.npz"))
         assert ModelLineage(online).active is None  # audit entry only
 
+    def test_retrain_exits_2_on_unreadable_snapshot(self, checkpoint, wal_dir,
+                                                    capsys):
+        from repro.experiments.cli import main
+
+        (wal_dir / "snapshot.json").write_text(
+            json.dumps({"format": 99, "kind": "single", "seq": 1, "state": {}}))
+        assert main(self.retrain_args(checkpoint, wal_dir)) == 2
+        assert "error: cannot recover WAL state" in capsys.readouterr().err
+        assert not (wal_dir / "online" / CURSOR_NAME).exists()
+
     def test_status_reports_the_online_block(self, checkpoint, wal_dir,
                                              capsys):
         from repro.experiments.cli import main

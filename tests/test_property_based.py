@@ -1,7 +1,10 @@
 """Property-based tests (hypothesis) for the core invariants: autograd
-gradients, softmax/attention masks, metrics and the feature encoder."""
+gradients, softmax/attention masks, metrics, the feature encoder and the
+user-sequence store's snapshot round trip."""
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -15,6 +18,7 @@ from repro.data.interactions import Interaction, InteractionLog
 from repro.data.split import leave_one_out_split
 from repro.eval.ranking import hit_ratio_at_k, ndcg_at_k
 from repro.eval.regression import root_relative_squared_error
+from repro.serving.cache import UserSequenceStore
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -202,58 +206,8 @@ class TestDataProperties:
 
 
 # --------------------------------------------------------------------------- #
-# Consistent hashing and the sharded sequence store
+# The user-sequence store
 # --------------------------------------------------------------------------- #
-from repro.serving.cache import (  # noqa: E402 — grouped with its test class
-    HashRing,
-    ShardedUserSequenceStore,
-    UserSequenceStore,
-)
-
-shard_names = st.lists(st.integers(min_value=0, max_value=50), min_size=2,
-                       max_size=8, unique=True)
-user_ids = st.lists(st.integers(min_value=0, max_value=10_000), min_size=1,
-                    max_size=40)
-
-
-class TestConsistentHashingProperties:
-    @SETTINGS
-    @given(shard_names, user_ids)
-    def test_assignment_is_deterministic_across_rings(self, shards, keys):
-        first = HashRing(shards)
-        second = HashRing(list(reversed(shards)))
-        for key in keys:
-            assert first.shard_for(key) == second.shard_for(key)
-
-    @SETTINGS
-    @given(shard_names, user_ids, st.integers(min_value=51, max_value=60))
-    def test_adding_a_shard_only_remaps_keys_it_takes(self, shards, keys, new):
-        ring = HashRing(shards)
-        before = {key: ring.shard_for(key) for key in keys}
-        ring.add(new)
-        for key, owner in before.items():
-            after = ring.shard_for(key)
-            assert after == owner or after == new
-
-    @SETTINGS
-    @given(shard_names, user_ids, st.data())
-    def test_removing_a_shard_only_remaps_its_own_keys(self, shards, keys, data):
-        ring = HashRing(shards)
-        before = {key: ring.shard_for(key) for key in keys}
-        victim = data.draw(st.sampled_from(shards))
-        ring.remove(victim)
-        for key, owner in before.items():
-            if owner != victim:
-                assert ring.shard_for(key) == owner
-
-    @SETTINGS
-    @given(shard_names, user_ids)
-    def test_every_key_lands_on_a_live_shard(self, shards, keys):
-        ring = HashRing(shards)
-        for key in keys:
-            assert ring.shard_for(key) in shards
-
-
 @st.composite
 def store_operations(draw):
     """A mixed op tape: record / append / encode / stored-read / clock advance."""
@@ -279,8 +233,7 @@ def store_operations(draw):
 
 
 def _apply(store, operations, clock):
-    """Drive one store through the tape; returns the stored-read outcomes."""
-    seen = []
+    """Drive one store through the tape."""
     for kind, user_id, argument in operations:
         if kind == "record":
             store.record(user_id, argument)
@@ -289,52 +242,70 @@ def _apply(store, operations, clock):
         elif kind == "encode":
             store.encode(user_id, argument)
         elif kind == "read":
-            seen.append((user_id, store.history(user_id)))
+            store.history(user_id)
         else:
             clock["now"] += argument
-    return seen
 
 
-class TestShardedStoreProperties:
-    @SETTINGS
-    @given(store_operations(), st.integers(min_value=2, max_value=5))
-    def test_ttl_and_state_semantics_match_the_single_store(self, operations, shards):
-        """Sharding is invisible: same tape, same visible state, same expiry.
+class ReferenceStore:
+    """The store's documented semantics as a plain ordered dict.
 
-        Capacity is non-binding here on purpose — per-shard LRU eviction
-        *order* is the one semantic sharding legitimately changes; TTL and
-        sequence state must not.
-        """
-        clock = {"now": 0.0}
-        sharded = ShardedUserSequenceStore(max_seq_len=6, capacity=4096, ttl=8.0,
-                                           clock=lambda: clock["now"], shards=shards)
-        sharded_reads = _apply(sharded, operations, clock)
-        clock["now"] = 0.0
-        single = UserSequenceStore(max_seq_len=6, capacity=4096, ttl=8.0,
-                                   clock=lambda: clock["now"])
-        single_reads = _apply(single, operations, clock)
-        assert sharded_reads == single_reads
-        for user_id in range(13):
-            assert sharded.history(user_id) == single.history(user_id)
+    Users map to ``(visible suffix, stamp)`` in LRU → MRU order.  Every read
+    refreshes recency and drops an entry older than ``ttl``; an explicit
+    history replaces the suffix; ``record`` creates or extends; ``append``
+    extends resident users only; a put beyond ``capacity`` evicts the LRU user.
+    """
 
-    @SETTINGS
-    @given(store_operations(), st.integers(min_value=2, max_value=5))
-    def test_snapshot_restore_round_trips_exactly(self, operations, shards):
-        clock = {"now": 0.0}
-        store = ShardedUserSequenceStore(max_seq_len=6, capacity=64, ttl=30.0,
-                                         clock=lambda: clock["now"], shards=shards)
-        _apply(store, operations, clock)
-        snapshot = store.snapshot()
-        clone = ShardedUserSequenceStore(max_seq_len=6, capacity=64, ttl=30.0,
-                                         clock=lambda: clock["now"], shards=shards)
-        clone.restore(snapshot)
-        assert len(clone) == len(store)
-        for user_id in range(13):
-            assert clone.history(user_id) == store.history(user_id)
-        # And the copies evolve identically afterwards.
-        store.record(3, [9]); clone.record(3, [9])
-        assert clone.history(3) == store.history(3)
+    def __init__(self, max_seq_len, capacity, ttl, clock):
+        self.max_seq_len, self.capacity, self.ttl = max_seq_len, capacity, ttl
+        self.clock = clock
+        self.entries = OrderedDict()
+        self.hits = self.misses = self.evictions = 0
 
+    def _peek(self, user_id):
+        if user_id not in self.entries:
+            return None
+        self.entries.move_to_end(user_id)
+        suffix, stamp = self.entries[user_id]
+        if self.ttl is not None and self.clock["now"] - stamp > self.ttl:
+            del self.entries[user_id]
+            self.evictions += 1
+            return None
+        return suffix
+
+    def _put(self, user_id, suffix):
+        if user_id in self.entries:
+            self.entries.move_to_end(user_id)
+        self.entries[user_id] = (tuple(suffix[-self.max_seq_len:]), self.clock["now"])
+        if len(self.entries) > self.capacity:
+            self.entries.popitem(last=False)
+            self.evictions += 1
+
+    def apply(self, kind, user_id, argument):
+        if kind == "record":
+            self._put(user_id, (self._peek(user_id) or ()) + tuple(argument))
+        elif kind == "append":
+            suffix = self._peek(user_id)
+            if suffix is not None:
+                self._put(user_id, suffix + (argument,))
+        elif kind == "encode":
+            fingerprint = tuple(argument[-self.max_seq_len:])
+            if self._peek(user_id) == fingerprint:
+                self.hits += 1
+            else:
+                self.misses += 1
+                self._put(user_id, fingerprint)
+        elif kind == "read":
+            self._peek(user_id)
+        else:
+            self.clock["now"] += argument
+
+    def snapshot_entries(self):
+        return [[user_id, list(suffix), stamp]
+                for user_id, (suffix, stamp) in self.entries.items()]
+
+
+class TestSequenceStoreProperties:
     @SETTINGS
     @given(store_operations())
     def test_single_store_snapshot_round_trips_exactly(self, operations):
@@ -348,3 +319,60 @@ class TestShardedStoreProperties:
         assert len(clone) == len(store)
         for user_id in range(13):
             assert clone.history(user_id) == store.history(user_id)
+
+    @SETTINGS
+    @given(store_operations(), st.integers(min_value=1, max_value=6))
+    def test_store_matches_the_reference_model_after_every_op(self, operations,
+                                                              capacity):
+        clock = {"now": 0.0}
+        store = UserSequenceStore(max_seq_len=4, capacity=capacity, ttl=8.0,
+                                  clock=lambda: clock["now"])
+        reference = ReferenceStore(4, capacity, 8.0, clock)
+        for operation in operations:
+            if operation[0] == "tick":
+                reference.apply(*operation)
+            else:
+                _apply(store, [operation], clock)
+                reference.apply(*operation)
+            assert store.snapshot()["entries"] == reference.snapshot_entries()
+            assert len(store) <= capacity
+        stats = store.stats
+        assert (stats.hits, stats.misses, stats.evictions) == (
+            reference.hits, reference.misses, reference.evictions)
+
+    @SETTINGS
+    @given(store_operations(), st.integers(min_value=1, max_value=6))
+    def test_journal_replay_reproduces_the_snapshot(self, operations, capacity):
+        clock = {"now": 0.0}
+        store = UserSequenceStore(max_seq_len=4, capacity=capacity, ttl=8.0,
+                                  clock=lambda: clock["now"])
+        records = []
+        store.set_journal(records.append)
+        _apply(store, operations, clock)
+        replica = UserSequenceStore(max_seq_len=4, capacity=capacity, ttl=8.0,
+                                    clock=lambda: clock["now"])
+        for record in records:
+            replica.apply_journal(record)
+        assert replica.snapshot() == store.snapshot()
+
+    @SETTINGS
+    @given(store_operations(), store_operations())
+    def test_a_refusing_journal_leaves_the_state_unchanged(self, warmup, operations):
+        clock = {"now": 0.0}
+        store = UserSequenceStore(max_seq_len=4, capacity=5, ttl=8.0,
+                                  clock=lambda: clock["now"])
+        _apply(store, warmup, clock)
+
+        def refuse(record):
+            raise OSError("journal unavailable")
+
+        store.set_journal(refuse)
+        for operation in operations:
+            before = store.snapshot()
+            try:
+                _apply(store, [operation], clock)
+            except OSError:
+                pass
+            # A refused journal record aborts its operation before anything
+            # lands, and an operation that journals nothing changes nothing.
+            assert store.snapshot() == before

@@ -1,4 +1,4 @@
-"""Durability battery: WAL framing, crash recovery, atomic writes, seal races.
+"""Durability battery: WAL framing, crash recovery, atomic writes, fault sites.
 
 Proves the contract of :mod:`repro.serving.durability`:
 
@@ -10,35 +10,45 @@ Proves the contract of :mod:`repro.serving.durability`:
   test drives a random op tape through every truncation point;
 * on-disk writers (:func:`repro.core.serialization.atomic_write`) leave the
   previous file intact when the write dies mid-flight;
-* :meth:`ShardedUserSequenceStore.remove_shard` no longer races in-flight
-  ``record`` calls: the seal + retry protocol loses no writes (regression
-  hammer for the pre-PR-8 window where a record could land on a detached
-  shard).
+* the seeded :class:`~repro.serving.faults.FaultInjector` replays the same
+  schedule from the same seed, and the store/WAL fault sites fire *before*
+  mutation, so a failed operation leaves durable state untouched and a
+  reopen recovers cleanly;
+* on-disk state this build cannot restore — an unknown snapshot format, a
+  sharded store's snapshot or journal — fails loudly, in the library and at
+  every CLI entry point (exit code 2, never a traceback).
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import shutil
+import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.serialization import atomic_write, atomic_write_text
-from repro.serving.cache import ShardedUserSequenceStore, UserSequenceStore
+from repro.core.config import SeqFMConfig
+from repro.core.model import SeqFM
+from repro.core.serialization import atomic_write, atomic_write_text, save_seqfm
+from repro.experiments.cli import main
 from repro.serving.durability import (
     WAL_OPS,
     DurableSequenceStore,
     WALCorruptionError,
+    WALError,
     WriteAheadLog,
+    _encode_line,
     inspect_durability,
     read_wal,
 )
-from repro.serving.faults import FaultInjector
+from repro.serving.faults import FaultInjector, InjectedFault
 
 MAX_SEQ_LEN = 6
 
@@ -79,8 +89,6 @@ class TestWriteAheadLog:
         """Seq going backwards mid-file (valid records follow) is corruption,
         not a crash tail, and must refuse rather than silently replay."""
         path = tmp_path / "wal.jsonl"
-        from repro.serving.durability import _encode_line
-
         path.write_bytes(_encode_line({"seq": 2, "op": "record"})
                          + _encode_line({"seq": 1, "op": "record"})
                          + _encode_line({"seq": 3, "op": "record"}))
@@ -196,14 +204,14 @@ def truncate_wal_copy(source: Path, dest: Path, keep_records: int) -> None:
 
 class TestCrashRecovery:
     @SETTINGS
-    @given(ops=OPS, shards=st.sampled_from([1, 3]))
+    @given(ops=OPS)
     def test_replay_is_byte_identical_at_every_append_boundary(
-            self, tmp_path_factory, ops, shards):
+            self, tmp_path_factory, ops):
         """Kill the store after every WAL append; replay must reconverge.
 
         For a crash at an op boundary the recovered ``snapshot()`` must be
         byte-identical to the live pre-crash one.  For a crash *inside* a
-        multi-record op (put+evict, sharded clear) write-ahead semantics
+        multi-record op (put+evict) write-ahead semantics
         promise prefix-consistency instead: replaying the surviving prefix
         and then the op's remaining records lands exactly on the post-op
         state — no record is lost, none applies twice.
@@ -211,7 +219,7 @@ class TestCrashRecovery:
         base = tmp_path_factory.mktemp("wal")
         live = base / "live"
         store = DurableSequenceStore(live, MAX_SEQ_LEN, capacity=3,
-                                     shards=shards, fsync_every=1)
+                                     fsync_every=1)
         boundaries = []   # (WAL high-water mark, pre-crash snapshot) per op
         for op in ops:
             apply_op(store, op)
@@ -231,7 +239,7 @@ class TestCrashRecovery:
             crashed = base / f"crash{record_count}"
             truncate_wal_copy(live, crashed, record_count)
             recovered = DurableSequenceStore(crashed, MAX_SEQ_LEN, capacity=3,
-                                             shards=shards, fsync_every=1)
+                                             fsync_every=1)
             assert recovered.recovery.replayed == record_count
             for record in all_records:   # complete the op that was cut
                 if record_count < int(record["seq"]) <= op_last:
@@ -273,23 +281,6 @@ class TestCrashRecovery:
         recovered.close()
         store.close()
 
-    def test_sharded_recovery_with_topology_changes(self, tmp_path):
-        store = DurableSequenceStore(tmp_path, MAX_SEQ_LEN, capacity=16,
-                                     shards=2)
-        for user in range(10):
-            store.record(user, [user])
-        store.add_shard(2)
-        store.record(11, [4, 5])
-        store.remove_shard(0)
-        expected = store.snapshot()
-        store.sync()
-        recovered = DurableSequenceStore(tmp_path, MAX_SEQ_LEN, capacity=16,
-                                         shards=2)
-        assert recovered.snapshot() == expected
-        assert recovered.shard_ids() == store.shard_ids()
-        recovered.close()
-        store.close()
-
     def test_inspect_durability_reports_disk_state(self, tmp_path):
         store = DurableSequenceStore(tmp_path, MAX_SEQ_LEN, capacity=8,
                                      fsync_every=1)
@@ -298,6 +289,8 @@ class TestCrashRecovery:
         store.close()
         report = inspect_durability(tmp_path)
         assert report["snapshot"]["users"] == 2
+        assert report["snapshot"]["kind"] == "single"
+        assert "shards" not in report["snapshot"]
         assert report["wal"]["records"] == 0      # close() compacts
         assert not report["wal"]["torn_tail"]
 
@@ -367,62 +360,360 @@ class TestAtomicWrites:
 
 
 # --------------------------------------------------------------------------- #
-# remove_shard vs in-flight record (regression hammer)
+# Fault injection: deterministic schedules, failures before mutation
 # --------------------------------------------------------------------------- #
-class TestRemoveShardRace:
-    def test_no_write_lost_while_shards_are_removed(self):
-        store = ShardedUserSequenceStore(MAX_SEQ_LEN, capacity=4096,
-                                         shards=[0, 1, 2, 3])
+class TestFaultDeterminism:
+    def firing_schedule(self, seed: int, hits: int = 60) -> list:
+        injector = FaultInjector(seed=seed)
+        injector.arm("site", kind="raise", probability=0.5)
+        fired = []
+        for index in range(hits):
+            try:
+                injector.hit("site")
+            except InjectedFault:
+                fired.append(index)
+        return fired
+
+    def test_same_seed_same_schedule(self):
+        first = self.firing_schedule(seed=7)
+        second = self.firing_schedule(seed=7)
+        assert first == second
+        # A p=0.5 schedule over 60 hits both fires and skips.
+        assert 0 < len(first) < 60
+
+    def test_different_seed_different_schedule(self):
+        assert self.firing_schedule(seed=7) != self.firing_schedule(seed=8)
+
+    def test_after_and_times_window_the_firings(self):
+        injector = FaultInjector(seed=0)
+        injector.arm("site", kind="raise", after=2, times=2)
+        outcomes = []
+        for _ in range(6):
+            try:
+                injector.hit("site")
+                outcomes.append("ok")
+            except InjectedFault:
+                outcomes.append("fault")
+        assert outcomes == ["ok", "ok", "fault", "fault", "ok", "ok"]
+
+    def test_match_limits_firings_to_matching_context(self):
+        injector = FaultInjector(seed=0)
+        spec = injector.arm("store.record", match="42")
+        injector.hit("store.record", context="7")
+        with pytest.raises(InjectedFault):
+            injector.hit("store.record", context="42")
+        assert (spec.seen, spec.fired) == (1, 1)   # non-matching hits are unseen
+        assert injector.fired("store.record") == 1
+
+    def test_torn_keeps_a_strict_prefix(self):
+        data = b"0123456789"
+        injector = FaultInjector(seed=0)
+        injector.arm("wal.torn", kind="torn", keep_bytes=3, times=1)
+        assert injector.torn("wal.torn", data) == b"012"
+        assert injector.torn("wal.torn", data) is None     # times=1 spent
+        halves = FaultInjector(seed=0)
+        halves.arm("wal.torn", kind="torn")
+        assert halves.torn("wal.torn", data) == b"01234"
+        greedy = FaultInjector(seed=0)
+        greedy.arm("wal.torn", kind="torn", keep_bytes=100)
+        assert greedy.torn("wal.torn", data) == data[:-1]  # never the whole record
+
+    def test_delay_sleeps_and_never_raises(self):
+        injector = FaultInjector(seed=0)
+        injector.arm("wal.fsync", kind="delay", delay=0.02, times=1)
+        started = time.monotonic()
+        injector.hit("wal.fsync")
+        assert time.monotonic() - started >= 0.02
+        assert injector.fired("wal.fsync") == 1
+
+    @pytest.mark.parametrize("options", [{"kind": "explode"},
+                                         {"probability": 1.5},
+                                         {"probability": -0.1}])
+    def test_invalid_specs_are_rejected(self, options):
+        with pytest.raises(ValueError):
+            FaultInjector(seed=0).arm("site", **options)
+
+    def test_reset_disarms_and_keeps_spec_counters(self):
+        injector = FaultInjector(seed=0)
+        spec = injector.arm("site")
+        with pytest.raises(InjectedFault):
+            injector.hit("site")
+        injector.reset()
+        injector.hit("site")                # disarmed: passes through
+        assert spec.fired == 1 and injector.fired("site") == 0
+
+
+class TestDurableChaos:
+    def test_store_record_fault_leaves_state_untouched(self, tmp_path):
+        injector = FaultInjector(seed=0)
+        injector.arm("store.record", kind="raise", times=1)
+        store = DurableSequenceStore(tmp_path, MAX_SEQ_LEN,
+                                     fsync_every=1, injector=injector)
+        with pytest.raises(InjectedFault) as info:
+            store.record(0, [1, 2, 3])
+        assert info.value.site == "store.record"
+        assert 0 not in store
+        assert store.wal_status()["appends"] == 0
+        store.record(0, [1, 2, 3])  # the retry succeeds
+        assert store.history(0) == (1, 2, 3)
+        store.sync()
+        pre = store.snapshot()
+        store.close()
+        recovered = DurableSequenceStore(tmp_path, MAX_SEQ_LEN)
+        assert recovered.snapshot() == pre
+        recovered.close()
+
+    def test_wal_append_fault_aborts_cleanly_then_retries(self, tmp_path):
+        injector = FaultInjector(seed=0)
+        injector.arm("wal.append", kind="raise", times=1)
+        store = DurableSequenceStore(tmp_path, MAX_SEQ_LEN,
+                                     fsync_every=1, injector=injector)
+        with pytest.raises(InjectedFault):
+            store.record(0, [1, 2])
+        # Write-ahead means the aborted journal append blocked the mutation.
+        assert 0 not in store
+        assert store.wal_status()["last_seq"] == 0
+        store.record(0, [1, 2])
+        store.record(1, [3])
+        store.sync()
+        pre = store.snapshot()
+        store.close()
+        recovered = DurableSequenceStore(tmp_path, MAX_SEQ_LEN)
+        assert recovered.snapshot() == pre
+        assert recovered.recovery.replayed == 0  # close() checkpointed
+        recovered.close()
+
+    def test_torn_write_breaks_log_and_reopen_recovers(self, tmp_path):
+        injector = FaultInjector(seed=0)
+        injector.arm("wal.torn", kind="torn", after=2, times=1)
+        store = DurableSequenceStore(tmp_path, MAX_SEQ_LEN,
+                                     fsync_every=1, injector=injector)
+        store.record(0, [1, 2])
+        store.record(1, [3, 4])
+        pre_crash = store.snapshot()
+        with pytest.raises(WALError, match="torn write"):
+            store.record(2, [5])
+        # Fail-stop: the broken log refuses further appends...
+        with pytest.raises(WALError, match="broken"):
+            store.record(3, [6])
+        del store  # crash without checkpoint (close() would compact)
+        # ...and the reopen heals the torn tail back to the last good record.
+        scan = read_wal(tmp_path / "wal.jsonl")
+        assert scan.torn
+        recovered = DurableSequenceStore(tmp_path, MAX_SEQ_LEN)
+        assert recovered.recovery.torn_tail
+        assert recovered.recovery.replayed == 2
+        assert recovered.snapshot() == pre_crash
+        assert 2 not in recovered and 3 not in recovered
+        recovered.record(2, [5])  # the healed log accepts writes again
+        assert recovered.history(2) == (5,)
+        recovered.close()
+
+    def test_fsync_fault_surfaces_without_corrupting_log(self, tmp_path):
+        injector = FaultInjector(seed=0)
+        injector.arm("wal.fsync", kind="raise", times=1)
+        store = DurableSequenceStore(tmp_path, MAX_SEQ_LEN,
+                                     fsync_every=1, injector=injector)
+        with pytest.raises(InjectedFault):
+            store.record(0, [1, 2])
+        # The append landed before its fsync failed, so the failed record is
+        # *more* durable than the caller was told — never less.  The
+        # in-memory store skipped the mutation (journal-before-mutation)...
+        assert 0 not in store
+        store.record(1, [3])
+        store.sync()
+        del store  # crash without checkpoint
+        # ...but a crash-recovery replays the durable record: at-least-once
+        # semantics for operations that failed between append and fsync.
+        recovered = DurableSequenceStore(tmp_path, MAX_SEQ_LEN)
+        assert recovered.history(0) == (1, 2)
+        assert recovered.history(1) == (3,)
+        recovered.close()
+
+    def test_failed_touch_append_keeps_recency_in_step_with_the_log(self, tmp_path):
+        """A read hit whose touch record fails must not reorder the LRU in
+        memory either, or the next eviction would differ after a restart."""
+        injector = FaultInjector(seed=0)
+        injector.arm("wal.append", kind="raise", match="touch", times=1)
+        store = DurableSequenceStore(tmp_path, MAX_SEQ_LEN, capacity=2,
+                                     fsync_every=1, injector=injector)
+        store.record(1, [1])
+        store.record(2, [2])
+        before = store.snapshot()
+        with pytest.raises(InjectedFault):
+            store.history(1)
+        assert store.snapshot() == before   # 1 is still the LRU victim
+        store.record(3, [3])
+        assert 1 not in store and 2 in store
+        live = store.snapshot()
+        store._wal.close()   # crash without checkpoint
+
+        recovered = DurableSequenceStore(tmp_path, MAX_SEQ_LEN, capacity=2)
+        assert recovered.snapshot() == live
+        recovered.close()
+
+
+# --------------------------------------------------------------------------- #
+# Concurrent writers share one store and one log
+# --------------------------------------------------------------------------- #
+def run_writers(store, writers: int = 4, records: int = 60) -> dict:
+    """Threads record disjoint users' events; returns each user's events."""
+    written = {}
+    errors = []
+
+    def write(worker: int) -> None:
+        try:
+            for index in range(records):
+                user = worker * 3 + index % 3
+                store.record(user, [(worker + index) % 10])
+        except Exception as error:  # noqa: BLE001 — reported to the main thread
+            errors.append(error)
+
+    for worker in range(writers):
+        for index in range(records):
+            written.setdefault(worker * 3 + index % 3, []).append(
+                (worker + index) % 10)
+    pool = [threading.Thread(target=write, args=(worker,))
+            for worker in range(writers)]
+    for thread in pool:
+        thread.start()
+    for thread in pool:
+        thread.join()
+    assert errors == []
+    return written
+
+
+class TestConcurrentWriters:
+    def test_no_record_is_lost_or_reordered_across_reopen(self, tmp_path):
+        store = DurableSequenceStore(tmp_path, MAX_SEQ_LEN, capacity=64,
+                                     fsync_every=8)
+        written = run_writers(store)
+        store.sync()
+        scan = read_wal(tmp_path / "wal.jsonl")
+        assert [record["seq"] for record in scan.records] == \
+            list(range(1, len(written) * 20 + 1))
+        for user, events in written.items():
+            logged = [record["events"][0] for record in scan.records
+                      if record["user"] == user]
+            assert logged == events          # per-user order survives
+            assert store.history(user) == tuple(events[-MAX_SEQ_LEN:])
+        expected = store.snapshot()
+        store._wal.close()   # crash without checkpoint
+
+        recovered = DurableSequenceStore(tmp_path, MAX_SEQ_LEN, capacity=64)
+        assert recovered.snapshot() == expected
+        recovered.close()
+
+    def test_checkpoints_during_traffic_lose_nothing(self, tmp_path):
+        store = DurableSequenceStore(tmp_path, MAX_SEQ_LEN, capacity=64,
+                                     fsync_every=4)
         stop = threading.Event()
-        errors = []
-        recorded = [set() for _ in range(4)]
-        # Capacity is split per shard (ceil(4096/4) = 1024), and after the
-        # removals every user routes to the lone survivor — keep the whole
-        # working set (4 * 128 users) under one shard's capacity so the only
-        # way to lose an acknowledged write is the remove_shard race, never
-        # LRU eviction.
-        distinct = 128
+        checkpoints = []
 
-        def hammer(slot):
-            count = 0
+        def checkpoint_loop() -> None:
             while not stop.is_set():
-                user = slot + 4 * (count % distinct)
-                try:
-                    store.record(user, [user % 10, 1])
-                    recorded[slot].add(user)
-                except Exception as error:  # noqa: BLE001 — fail the test
-                    errors.append(error)
-                    return
-                count += 1
+                checkpoints.append(store.checkpoint())
 
-        threads = [threading.Thread(target=hammer, args=(slot,))
-                   for slot in range(4)]
-        for thread in threads:
-            thread.start()
-        removed = []
-        for shard_id in (3, 1, 2):
-            removed.append(store.remove_shard(shard_id))
-        stop.set()
-        for thread in threads:
-            thread.join()
+        checkpointer = threading.Thread(target=checkpoint_loop)
+        checkpointer.start()
+        try:
+            written = run_writers(store)
+        finally:
+            stop.set()
+            checkpointer.join()
+        assert checkpoints == sorted(checkpoints)
+        for user, events in written.items():
+            assert store.history(user) == tuple(events[-MAX_SEQ_LEN:])
+        expected = store.snapshot()
+        store.sync()
+        store._wal.close()   # crash after the last checkpoint
 
-        assert not errors
-        # Every acknowledged write is resident: either on the surviving
-        # shard or inside the snapshot remove_shard handed back for
-        # migration — the pre-fix race dropped writes on the floor.
-        migrated = set()
-        for snapshot in removed:
-            migrated.update(int(user) for user, _, _ in snapshot["entries"])
-        written = set().union(*recorded)
-        resident = {user for user in written if user in store}
-        lost = written - resident - migrated
-        assert not lost, f"{len(lost)} acknowledged writes lost"
+        recovered = DurableSequenceStore(tmp_path, MAX_SEQ_LEN, capacity=64)
+        assert recovered.snapshot() == expected
+        recovered.close()
 
-    def test_sealed_shard_rejects_then_store_reroutes(self):
-        store = ShardedUserSequenceStore(MAX_SEQ_LEN, capacity=64,
-                                         shards=[0, 1])
-        store.record(1, [1, 2])
-        store.remove_shard(0)
-        store.record(1, [1, 2])       # rerouted to the surviving shard
-        assert 1 in store
-        assert store.shard_ids() == (1,)
+
+# --------------------------------------------------------------------------- #
+# On-disk state this build cannot restore fails loudly
+# --------------------------------------------------------------------------- #
+def write_snapshot(directory: Path, **fields) -> None:
+    doc = {"format": 1, "kind": "single", "seq": 1,
+           "state": {"max_seq_len": MAX_SEQ_LEN, "capacity": 8, "ttl": None,
+                     "entries": [[1, [1, 2], 0.0]]}}
+    doc.update(fields)
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "snapshot.json").write_text(json.dumps(doc))
+
+
+#: What a two-shard store checkpointed: shard snapshots as [id, state] pairs.
+SHARDED_STATE = {"max_seq_len": MAX_SEQ_LEN, "ttl": None, "shards": [
+    [0, {"max_seq_len": MAX_SEQ_LEN, "capacity": 4, "ttl": None,
+         "entries": [[2, [1, 2], 0.0]]}],
+    [1, {"max_seq_len": MAX_SEQ_LEN, "capacity": 4, "ttl": None,
+         "entries": [[1, [3], 0.0]]}],
+]}
+
+
+class TestUnreadableState:
+    @pytest.mark.parametrize("fields, message", [
+        ({"kind": "sharded", "state": SHARDED_STATE}, "'sharded'"),
+        ({"format": 99}, "snapshot format 99"),
+    ])
+    def test_snapshot_is_refused_not_restored(self, tmp_path, fields, message):
+        write_snapshot(tmp_path, **fields)
+        with pytest.raises(WALError, match=message):
+            DurableSequenceStore(tmp_path, MAX_SEQ_LEN)
+        with pytest.raises(WALError, match=message):
+            inspect_durability(tmp_path)
+
+    @pytest.mark.parametrize("record", [
+        {"op": "add_shard", "shard_id": 2},
+        {"op": "remove_shard", "shard_id": 0},
+    ])
+    def test_shard_topology_record_is_an_unknown_journal_op(self, tmp_path,
+                                                            record):
+        (tmp_path / "wal.jsonl").write_bytes(
+            _encode_line({"op": "record", "user": 1, "fp": [4], "stamp": 0.0,
+                          "events": [4], "shard": 1, "seq": 1})
+            + _encode_line({**record, "seq": 2}))
+        with pytest.raises(ValueError, match=f"unknown journal op '{record['op']}'"):
+            DurableSequenceStore(tmp_path, MAX_SEQ_LEN)
+
+
+class TestRecoveryErrorsExitTwo:
+    """A directory the store refuses is an operator error, never a traceback."""
+
+    @pytest.fixture
+    def checkpoint(self, tmp_path):
+        config = SeqFMConfig(static_vocab_size=20, dynamic_vocab_size=12,
+                             max_seq_len=MAX_SEQ_LEN, embed_dim=4, seed=0)
+        path = tmp_path / "c.npz"
+        save_seqfm(SeqFM(config), path)
+        return path
+
+    @pytest.mark.parametrize("fields", [{"format": 99}, {"kind": "sharded"}])
+    def test_serve_exits_2(self, checkpoint, tmp_path, capsys, monkeypatch,
+                           fields):
+        wal_dir = tmp_path / "state"
+        write_snapshot(wal_dir, **fields)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        assert main(["serve", "--checkpoint", str(checkpoint),
+                     "--wal", str(wal_dir)]) == 2
+        assert "error: cannot recover WAL state" in capsys.readouterr().err
+
+    def test_serve_exits_2_on_shard_topology_record(self, checkpoint, tmp_path,
+                                                    capsys, monkeypatch):
+        wal_dir = tmp_path / "state"
+        wal_dir.mkdir()
+        (wal_dir / "wal.jsonl").write_bytes(
+            _encode_line({"op": "add_shard", "shard_id": 2, "seq": 1}))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        assert main(["serve", "--checkpoint", str(checkpoint),
+                     "--wal", str(wal_dir)]) == 2
+        assert "unknown journal op 'add_shard'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields", [{"format": 99}, {"kind": "sharded"}])
+    def test_status_exits_2(self, tmp_path, capsys, fields):
+        write_snapshot(tmp_path, **fields)
+        assert main(["status", "--wal", str(tmp_path)]) == 2
+        assert "error: cannot recover WAL state" in capsys.readouterr().err

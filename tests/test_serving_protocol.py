@@ -1,12 +1,13 @@
 """Tests for the serving protocol: envelopes, the head registry, structured
-errors, the stateful update head, per-request model routing and the
-golden-file wire-format contract."""
+errors, the stateful update head, per-request model routing, the
+golden-file wire-format contract and the serve loop's summary counters."""
 
 from __future__ import annotations
 
 import io
 import json
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.serving import (
     ModelRegistry,
     ProtocolError,
     ServeDefaults,
+    ServeSummary,
     ServingRouter,
     UserSequenceStore,
     default_heads,
@@ -158,8 +160,7 @@ class TestEnvelope:
     def test_error_codes_are_stable(self):
         assert ERROR_CODES == ("bad_json", "bad_envelope", "unsupported_version",
                                "unknown_head", "unknown_model", "bad_request",
-                               "execution_error", "overloaded", "timeout",
-                               "retryable")
+                               "execution_error")
 
 
 # --------------------------------------------------------------------------- #
@@ -625,3 +626,46 @@ class TestGoldenWireFormat:
             np.testing.assert_allclose(served, expected, rtol=0.0, atol=1e-10)
             checked += len(served)
         assert checked == 22   # every float in the expected file
+
+
+# --------------------------------------------------------------------------- #
+# ServeSummary thread-safety
+# --------------------------------------------------------------------------- #
+class TestServeSummaryThreadSafety:
+    def test_contended_counters_sum_exactly(self):
+        summary = ServeSummary()
+        threads, per_thread = 8, 500
+
+        def hammer():
+            for i in range(per_thread):
+                summary.record_line()
+                summary.record_rows(2)
+                summary.record_error("execution_error" if i % 2 else "bad_request")
+
+        pool = [threading.Thread(target=hammer) for _ in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join()
+        assert summary.lines == threads * per_thread
+        assert summary.rows == threads * per_thread * 2
+        assert summary.errors == threads * per_thread
+        assert summary.error_codes["execution_error"] == threads * per_thread // 2
+        assert summary.error_codes["bad_request"] == threads * per_thread // 2
+
+    def test_merge_accumulates_every_counter(self):
+        first, second = ServeSummary(), ServeSummary()
+        first.record_line()
+        first.record_rows(3)
+        second.record_line()
+        second.record_error("bad_json")
+        first.merge(second)
+        assert first.lines == 2
+        assert first.rows == 3
+        assert first.errors == 1
+        assert first.error_codes == {"bad_json": 1}
+
+    def test_merge_into_itself_is_rejected(self):
+        summary = ServeSummary()
+        with pytest.raises(ValueError):
+            summary.merge(summary)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -297,6 +298,168 @@ class TestUserSequenceStore:
         store.encode(1, [1, 2])
         assert store.stats.hit_rate == 0.5
 
+    def test_record_creates_cold_users_and_extends_warm_ones(self):
+        store = UserSequenceStore(max_seq_len=4, capacity=8)
+        entry = store.record(3, [1, 2])
+        assert entry.fingerprint == (1, 2) and store.history(3) == (1, 2)
+        store.record(3, [3, 4, 5])
+        assert store.history(3) == (2, 3, 4, 5)   # visible suffix only
+        indices, mask = store.encode_stored(3)
+        expected_indices, expected_mask = pad_sequences([[2, 3, 4, 5]], 4)
+        np.testing.assert_array_equal(indices, expected_indices[0])
+        np.testing.assert_array_equal(mask, expected_mask[0])
+
+    def test_append_event_ignores_cold_users(self):
+        store = UserSequenceStore(max_seq_len=4, capacity=8)
+        store.append_event(9, 1)
+        assert 9 not in store and len(store) == 0
+
+    def test_append_event_refreshes_the_ttl_stamp(self):
+        clock = {"now": 0.0}
+        store = UserSequenceStore(max_seq_len=6, capacity=8, ttl=10.0,
+                                  clock=lambda: clock["now"])
+        store.record(1, [1, 2])
+        store.record(2, [3])
+        clock["now"] = 5.0
+        store.append_event(2, 4)
+        clock["now"] = 11.0
+        # User 1's entry (stamp 0.0) has expired, user 2's (stamp 5.0) lives.
+        assert store.history(1) is None
+        assert store.history(2) == (3, 4)
+        clock["now"] = 20.0
+        assert store.history(2) is None
+        assert store.stats.evictions == 2   # expiries count as evictions
+
+    def test_snapshot_round_trips_contents_and_recency(self):
+        store = UserSequenceStore(max_seq_len=6, capacity=3)
+        store.record(1, [1])
+        store.record(2, [2, 3])
+        store.record(3, [4])
+        store.history(1)                    # 2 is now the LRU victim
+        snapshot = store.snapshot()
+        assert [entry[0] for entry in snapshot["entries"]] == [2, 3, 1]
+        clone = UserSequenceStore(max_seq_len=6, capacity=3)
+        clone.restore(snapshot)
+        assert clone.snapshot() == snapshot
+        clone.record(4, [5])                # evicts 2, as the original would
+        assert 2 not in clone and 1 in clone and 3 in clone
+
+    def test_snapshot_carries_the_store_geometry(self):
+        snapshot = UserSequenceStore(max_seq_len=5, capacity=7, ttl=2.5).snapshot()
+        assert snapshot == {"max_seq_len": 5, "capacity": 7, "ttl": 2.5,
+                            "entries": []}
+
+    def test_restore_rejects_a_different_max_seq_len(self):
+        store = UserSequenceStore(max_seq_len=6)
+        store.record(1, [1, 2])
+        other = UserSequenceStore(max_seq_len=8)
+        other.record(5, [5])
+        with pytest.raises(ValueError, match="max_seq_len"):
+            other.restore(store.snapshot())
+        assert other.history(5) == (5,)     # refused before touching state
+
+    def test_journal_sees_each_mutation_before_it_lands(self):
+        store = UserSequenceStore(max_seq_len=4, capacity=8)
+        seen = []
+
+        def journal(record):
+            resident = [entry[1] for entry in store.snapshot()["entries"]]
+            seen.append((record["op"], record["fp"], resident))
+
+        store.record(1, [1])
+        store.set_journal(journal)
+        store.record(1, [2])
+        # The record names the new suffix while the old one is still resident.
+        assert seen == [("record", [1, 2], [[1]])]
+        store.set_journal(None)
+        assert store.history(1) == (1, 2)
+
+    def test_raising_journal_aborts_the_mutation(self):
+        store = UserSequenceStore(max_seq_len=4, capacity=8)
+        store.record(1, [1, 2])
+        before = store.snapshot()
+
+        def refuse(record):
+            raise OSError("disk full")
+
+        store.set_journal(refuse)
+        for mutate in (lambda: store.record(1, [3]),
+                       lambda: store.record(2, [3]),
+                       lambda: store.encode(1, [7, 8]),
+                       lambda: store.append_event(1, 9),
+                       lambda: store.invalidate(1),
+                       store.clear):
+            with pytest.raises(OSError):
+                mutate()
+            assert store.snapshot() == before
+
+    def test_put_at_capacity_journals_the_eviction_victim(self):
+        store = UserSequenceStore(max_seq_len=4, capacity=2)
+        records = []
+        store.set_journal(records.append)
+        store.record(1, [1])
+        store.record(2, [2])
+        store.record(3, [3])
+        assert [(r["op"], r.get("user")) for r in records] == [
+            ("record", 1), ("record", 2), ("record", 3), ("evict", 1)]
+        assert records[2]["events"] == [3] and records[2]["fp"] == [3]
+
+    def test_replaying_the_journal_twice_is_idempotent(self):
+        store = UserSequenceStore(max_seq_len=4, capacity=3)
+        records = []
+        store.set_journal(records.append)
+        for user, events in [(1, [1, 2]), (2, [3]), (1, [4]), (3, [5]), (4, [6])]:
+            store.record(user, events)
+        store.encode(2, [9, 9])
+        store.invalidate(3)
+        replica = UserSequenceStore(max_seq_len=4, capacity=3)
+        for record in records + records:
+            replica.apply_journal(record)
+        assert replica.snapshot() == store.snapshot()
+
+    def test_invalidating_a_cold_user_journals_nothing(self):
+        store = UserSequenceStore(max_seq_len=4, capacity=8)
+        records = []
+        store.set_journal(records.append)
+        store.invalidate(42)
+        assert records == []
+
+    def test_concurrent_hammering_keeps_entries_consistent(self):
+        store = UserSequenceStore(max_seq_len=6, capacity=256)
+        errors = []
+        per_user_events = {}
+        lock = threading.Lock()
+
+        def hammer(worker_id):
+            try:
+                rng = np.random.default_rng(worker_id)
+                # Each worker owns four users, so its own writes are the only
+                # ones its reads can see; the other workers share the store.
+                users = [worker_id * 4 + offset for offset in range(4)]
+                for _ in range(300):
+                    user_id = users[int(rng.integers(0, 4))]
+                    event = int(rng.integers(1, 29))
+                    store.record(user_id, [event])
+                    with lock:
+                        per_user_events.setdefault(user_id, []).append(event)
+                        expected = tuple(per_user_events[user_id][-6:])
+                    assert store.history(user_id) == expected
+                    indices, _ = store.encode_stored(user_id)
+                    assert tuple(int(i) for i in indices[-len(expected):]) == expected
+            except Exception as error:  # noqa: BLE001 — reported to the main thread
+                errors.append(error)
+
+        pool = [threading.Thread(target=hammer, args=(worker,)) for worker in range(6)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join()
+        assert errors == []
+        assert len(store) == 24
+        for user_id, events in per_user_events.items():
+            assert store.history(user_id) == tuple(events[-6:])
+        assert store.stats.hits == 6 * 300   # every encode_stored was a hit
+
 
 # --------------------------------------------------------------------------- #
 # Registry + service
@@ -352,6 +515,37 @@ class TestModelRegistry:
         assert "a" in registry and len(registry) == 2
         registry.unregister("a")
         assert "a" not in registry
+
+    def test_store_follows_the_registry_geometry(self, model):
+        registry = ModelRegistry(cache_capacity=17, cache_ttl=3.0)
+        store = registry.register("m", model).sequence_store
+        assert type(store) is UserSequenceStore
+        assert store.capacity == 17 and store.ttl == 3.0
+        assert store.max_seq_len == CONFIG.max_seq_len
+
+    def test_overwriting_a_registration_starts_an_empty_store(self, model):
+        registry = ModelRegistry()
+        registry.register("m", model).sequence_store.record(1, [2, 3])
+        with pytest.raises(ValueError, match="already registered"):
+            registry.register("m", model)
+        assert registry.get("m").sequence_store.history(1) == (2, 3)
+        store = registry.register("m", model, overwrite=True).sequence_store
+        assert len(store) == 0 and store.history(1) is None
+
+    def test_enable_durability_keeps_geometry_and_recovers(self, model, tmp_path):
+        registry = ModelRegistry(cache_capacity=5, cache_ttl=60.0)
+        registry.register("m", model)
+        durable = registry.enable_durability("m", tmp_path / "state")
+        assert registry.get("m").sequence_store is durable
+        assert durable.capacity == 5 and durable.ttl == 60.0
+        registry.serve("m", [{"user_id": 2, "events": [4, 5]}], head="update")
+        durable.close()
+
+        fresh = ModelRegistry(cache_capacity=5, cache_ttl=60.0)
+        fresh.register("m", model)
+        recovered = fresh.enable_durability("m", tmp_path / "state")
+        assert recovered.history(2) == (4, 5)
+        recovered.close()
 
 
 class TestService:
