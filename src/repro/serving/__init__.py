@@ -8,11 +8,11 @@ production-facing inference layer of the reproduction:
   backward bookkeeping; mask/attention/pooling math is shared with
   :mod:`repro.core` and :mod:`repro.nn.kernels`, and output matches
   ``SeqFM.score`` to 1e-10 (enforced by tests).
-* :class:`~repro.serving.batcher.MicroBatcher` — coalesces single scoring
-  requests into padded batches up to ``max_batch_size`` so the NumPy kernels
-  amortise their per-call overhead; results resolve in submission order.
+* :class:`~repro.serving.batcher.MicroBatcher` — a line is the batch: its
+  payloads (one :class:`~repro.serving.batcher.ScoreColumns`) become one
+  ``FeatureBatch`` and one engine call per ``max_batch_size`` chunk.
 * :class:`~repro.serving.cache.UserSequenceStore` — LRU cache of padded user
-  histories with exact fingerprint checks, so repeat users skip re-encoding.
+  histories with exact fingerprint checks, encoded one batch per lock.
 * :class:`~repro.serving.registry.ModelRegistry` — named checkpoint-backed
   models with ``rank`` / ``classify`` / ``regress`` / ``rank_topk``
   endpoints mirroring the task heads of :mod:`repro.core.tasks`, plus the
@@ -49,7 +49,7 @@ and the ``recommend`` service head / CLI subcommand.
 
 Usage
 -----
-Load a checkpoint and serve micro-batched ranking requests::
+Load a checkpoint and score a batch of requests::
 
     from repro.serving import ModelRegistry, ScoreRequest
 
@@ -82,10 +82,10 @@ subcommands of :mod:`repro.experiments.cli`.
 from repro.serving.batcher import (
     BatcherStats,
     MicroBatcher,
-    PendingScore,
     RankedCandidates,
     RankRequest,
     RecommendRequest,
+    ScoreColumns,
     ScoreRequest,
 )
 from repro.serving.cache import CacheStats, LRUCache, UserSequenceStore
@@ -149,7 +149,6 @@ __all__ = [
     "OrphanedIndexWarning",
     "NULL_INJECTOR",
     "PROTOCOL_VERSION",
-    "PendingScore",
     "ProtocolError",
     "RankedCandidates",
     "RankingPlan",
@@ -157,6 +156,7 @@ __all__ = [
     "RecommendRequest",
     "RecoveryReport",
     "RegisteredModel",
+    "ScoreColumns",
     "ScoreRequest",
     "ServeDefaults",
     "ServeSummary",

@@ -1,23 +1,23 @@
-"""Request micro-batching: coalesce single scoring requests into dense batches.
+"""Scoring heads over dense batches: a line is the batch.
 
-Production traffic arrives one request at a time, but the NumPy forward pass
-amortises its per-call overhead over the batch dimension — scoring 256 rows
-costs barely more than scoring one.  :class:`MicroBatcher` buffers incoming
-:class:`ScoreRequest` objects, pads their variable-length histories into a
-single :class:`~repro.data.features.FeatureBatch` (via the shared
-:func:`repro.data.batching.pad_sequences` collation, so the layout matches
-training exactly), and flushes whenever the buffer reaches
-``max_batch_size`` — or when the caller forces a flush.
-
-Results are delivered through :class:`PendingScore` handles, one per request,
-resolved in submission order regardless of how the queue was split into
-batches.
+The NumPy forward pass amortises its per-call overhead over the batch
+dimension — scoring 256 rows costs barely more than scoring one.  A serve
+line's scoring payloads arrive already together, so they are never queued:
+the score head parses them into one :class:`ScoreColumns` (static rows,
+histories, user and object ids), :meth:`MicroBatcher.collate` turns each
+``max_batch_size`` chunk into one :class:`~repro.data.features.FeatureBatch`
+— histories through one :meth:`~repro.serving.cache.UserSequenceStore.encode_rows`
+call under one store lock, or the shared
+:func:`repro.data.batching.pad_sequences` collation without a store — and
+:meth:`MicroBatcher.score_all` makes one engine call per chunk, scores in
+row order.  The rank and recommend heads are dense already (C candidates
+against one history) and are evaluated per request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -139,45 +139,49 @@ class ScoreRequest:
     object_id: int = -1
 
 
-class PendingScore:
-    """Handle for a submitted request, resolved (or failed) at flush time."""
+@dataclass(frozen=True)
+class ScoreColumns:
+    """A line of scoring requests, column by column — what :meth:`MicroBatcher.score_all`
+    scores and :meth:`MicroBatcher.collate` pads.
 
-    __slots__ = ("_value", "_done", "_error")
+    Row ``i`` is the request ``(static_rows[i], histories[i], user_ids[i],
+    object_ids[i])`` with the field meanings of :class:`ScoreRequest`.  Every
+    value is an already-validated exact ``int``; a history of ``None`` reads
+    the user's stored server-side sequence.
+    """
 
-    def __init__(self) -> None:
-        self._value: float = float("nan")
-        self._done: bool = False
-        self._error: Optional[Exception] = None
+    static_rows: Sequence[Sequence[int]] = ()
+    histories: Sequence[Optional[Sequence[int]]] = ()
+    user_ids: Sequence[int] = ()
+    object_ids: Sequence[int] = ()
 
-    def _resolve(self, value: float) -> None:
-        self._value = value
-        self._done = True
+    def __len__(self) -> int:
+        return len(self.user_ids)
 
-    def _fail(self, error: Exception) -> None:
-        self._error = error
-        self._done = True
+    def rows(self, start: int, stop: int) -> "ScoreColumns":
+        """The columns of rows ``start:stop``."""
+        return ScoreColumns(self.static_rows[start:stop], self.histories[start:stop],
+                            self.user_ids[start:stop], self.object_ids[start:stop])
 
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    @property
-    def error(self) -> Optional[Exception]:
-        """The scoring error this request's batch hit, if any."""
-        return self._error
-
-    @property
-    def value(self) -> float:
-        if not self._done:
-            raise RuntimeError("score not available yet — flush() the batcher first")
-        if self._error is not None:
-            raise self._error
-        return self._value
+    @classmethod
+    def of(cls, requests: Union["ScoreColumns", Sequence[ScoreRequest]]) -> "ScoreColumns":
+        """``requests`` as columns: :class:`ScoreRequest` objects are converted
+        once, their indices normalised to exact ``int``s."""
+        if isinstance(requests, ScoreColumns):
+            return requests
+        return cls(
+            static_rows=[list(request.static_indices) for request in requests],
+            histories=[None if request.history is None
+                       else [int(item) for item in request.history]
+                       for request in requests],
+            user_ids=[int(request.user_id) for request in requests],
+            object_ids=[int(request.object_id) for request in requests],
+        )
 
 
 @dataclass
 class BatcherStats:
-    """Counters describing how requests were coalesced."""
+    """Counters describing how requests were batched into engine calls."""
 
     requests: int = 0
     batches: int = 0
@@ -189,7 +193,7 @@ class BatcherStats:
 
 
 class MicroBatcher:
-    """Coalesce scoring requests into padded batches for a scoring function.
+    """Score a line's requests in dense batches through one scoring function.
 
     Parameters
     ----------
@@ -198,7 +202,7 @@ class MicroBatcher:
         typically :meth:`repro.serving.engine.InferenceEngine.score` (or
         ``.classify``/``.regress``).
     max_batch_size:
-        Flush automatically once this many requests are buffered.
+        Rows per engine call; :meth:`score_all` chunks longer inputs.
     max_seq_len:
         Pad/truncate request histories to this length; must match the model's
         configured n˙.
@@ -244,71 +248,38 @@ class MicroBatcher:
         self.max_seq_len = max_seq_len
         self.sequence_store = sequence_store
         self.stats = BatcherStats()
-        self._queue: List[ScoreRequest] = []
-        self._pending: List[PendingScore] = []
-
-    def __len__(self) -> int:
-        """Number of requests currently buffered."""
-        return len(self._queue)
 
     # ------------------------------------------------------------------ #
-    # Submission / flushing
+    # Score head
     # ------------------------------------------------------------------ #
-    def submit(self, request: ScoreRequest) -> PendingScore:
-        """Queue a request; auto-flush when the buffer is full."""
-        handle = self._enqueue(request)
-        if len(self._queue) >= self.max_batch_size:
-            self.flush()
-        return handle
+    def score_all(self, requests: Union[ScoreColumns, Sequence[ScoreRequest]]) -> np.ndarray:
+        """Score every row, one engine call per ``max_batch_size`` chunk, in order.
 
-    def _enqueue(self, request: ScoreRequest) -> PendingScore:
-        handle = PendingScore()
-        self._queue.append(request)
-        self._pending.append(handle)
-        self.stats.requests += 1
-        return handle
-
-    def flush(self) -> int:
-        """Score everything buffered in chunks of ``max_batch_size``.
-
-        Every buffered handle is resolved — with its score, or with the error
-        its chunk hit (``PendingScore.value`` re-raises it).  A failing chunk
-        does not abort the rest; the first error is re-raised once the queue
-        is drained.  Returns the number of successfully scored rows.
+        A failing chunk does not abort the rest (their store updates still
+        land); the first error is re-raised once every chunk has run.
         """
-        scored = 0
+        columns = ScoreColumns.of(requests)
+        self.stats.requests += len(columns)
+        scores = np.empty(len(columns), dtype=np.float64)
         first_error: Optional[Exception] = None
-        while self._queue:
-            chunk = self._queue[: self.max_batch_size]
-            handles = self._pending[: self.max_batch_size]
-            del self._queue[: self.max_batch_size]
-            del self._pending[: self.max_batch_size]
+        for start in range(0, len(columns), self.max_batch_size):
+            chunk = columns.rows(start, start + self.max_batch_size)
             try:
-                scores = np.asarray(self.score_fn(self.collate(chunk)), dtype=np.float64)
-                if scores.shape != (len(chunk),):
+                chunk_scores = np.asarray(self.score_fn(self.collate(chunk)), dtype=np.float64)
+                if chunk_scores.shape != (len(chunk),):
                     raise ValueError(
-                        f"score_fn returned shape {scores.shape}, expected ({len(chunk)},)"
+                        f"score_fn returned shape {chunk_scores.shape}, expected ({len(chunk)},)"
                     )
             except Exception as error:
-                for handle in handles:
-                    handle._fail(error)
                 if first_error is None:
                     first_error = error
                 continue
-            for handle, score in zip(handles, scores):
-                handle._resolve(float(score))
+            scores[start:start + len(chunk)] = chunk_scores
             self.stats.batches += 1
             self.stats.rows_scored += len(chunk)
-            scored += len(chunk)
         if first_error is not None:
             raise first_error
-        return scored
-
-    def score_all(self, requests: Sequence[ScoreRequest]) -> np.ndarray:
-        """Convenience: score many requests, results in submission order."""
-        handles = [self._enqueue(request) for request in requests]
-        self.flush()
-        return np.array([handle.value for handle in handles], dtype=np.float64)
+        return scores
 
     # ------------------------------------------------------------------ #
     # Rank head
@@ -317,8 +288,7 @@ class MicroBatcher:
         """Rank one request's candidate list through the fast path.
 
         A ranking request is already a dense batch — C candidates against one
-        history — so unlike :meth:`submit` there is nothing to coalesce: the
-        request is evaluated immediately via ``rank_fn`` (one
+        history — so it is evaluated on its own via ``rank_fn`` (one
         ``rank_candidates`` pass, with the history encoded through the
         sequence store when the request carries a ``user_id``).  ``k``
         defaults to the request's own ``k``, then to the full candidate list.
@@ -411,30 +381,38 @@ class MicroBatcher:
     # ------------------------------------------------------------------ #
     # Collation
     # ------------------------------------------------------------------ #
-    def collate(self, requests: Sequence[ScoreRequest]) -> FeatureBatch:
-        """Pad a list of requests into one :class:`FeatureBatch`.
+    def collate(self, requests: Union[ScoreColumns, Sequence[ScoreRequest]]) -> FeatureBatch:
+        """Pad rows into one :class:`FeatureBatch`.
 
-        Every request must carry the same number of static features (the
-        model consumes a rectangular static index matrix).
+        Every row must carry the same number of static features (the model
+        consumes a rectangular static index matrix); that is checked before
+        the store is touched.  With a sequence store, all histories are
+        encoded by one :meth:`UserSequenceStore.encode_rows` call.
         """
-        if not requests:
+        columns = ScoreColumns.of(requests)
+        if not len(columns):
             raise ValueError("cannot collate zero requests")
-        widths = {len(request.static_indices) for request in requests}
+        widths = set(map(len, columns.static_rows))
         if len(widths) != 1:
             raise ValueError(
                 f"all requests must have the same static feature count, got {sorted(widths)}"
             )
-        static = np.asarray(
-            [list(request.static_indices) for request in requests], dtype=np.int64
-        )
-        dynamic, mask = self._collate_histories(requests)
+        static = np.asarray(columns.static_rows, dtype=np.int64)
+        if self.sequence_store is None:
+            dynamic, mask = pad_sequences(
+                [() if history is None else history for history in columns.histories],
+                self.max_seq_len,
+            )
+        else:
+            dynamic, mask = self.sequence_store.encode_rows(columns.user_ids,
+                                                            columns.histories)
         return FeatureBatch(
             static_indices=static,
             dynamic_indices=dynamic,
             dynamic_mask=mask,
-            labels=np.zeros(len(requests), dtype=np.float64),
-            user_ids=np.array([request.user_id for request in requests], dtype=np.int64),
-            object_ids=np.array([request.object_id for request in requests], dtype=np.int64),
+            labels=np.zeros(len(columns), dtype=np.float64),
+            user_ids=np.array(columns.user_ids, dtype=np.int64),
+            object_ids=np.array(columns.object_ids, dtype=np.int64),
         )
 
     def _resolve_history(self, request) -> Sequence[int]:
@@ -455,22 +433,3 @@ class MicroBatcher:
         if request.history is None:
             return self.sequence_store.encode_stored(request.user_id)
         return self.sequence_store.encode(request.user_id, request.history)
-
-    def _collate_histories(self, requests: Sequence[ScoreRequest]):
-        if self.sequence_store is None:
-            return pad_sequences(
-                [self._resolve_history(request) for request in requests],
-                self.max_seq_len,
-            )
-        rows = []
-        masks = []
-        for request in requests:
-            if request.user_id >= 0:
-                indices, mask = self._encode_history(request)
-            else:
-                padded, padded_mask = pad_sequences(
-                    [self._resolve_history(request)], self.max_seq_len)
-                indices, mask = padded[0], padded_mask[0]
-            rows.append(indices)
-            masks.append(mask)
-        return np.stack(rows), np.stack(masks)

@@ -328,16 +328,8 @@ class UserSequenceStore:
         """
         fingerprint = tuple(int(item) for item in list(history)[-self.max_seq_len:])
         with self._lock:
-            cached = self._peek(user_id)
-            if cached is not None and cached.fingerprint == fingerprint:
-                self._hits += 1
-                self._touch(user_id)
-                return cached.indices, cached.mask
-            self._misses += 1
-            entry = self._encode_entry(fingerprint)
-            self._journal_put("put", user_id, entry)
-            self._cache.put(user_id, entry)
-            return entry.indices, entry.mask
+            entry = self._lookup(user_id, fingerprint)
+        return entry.indices, entry.mask
 
     def encode_stored(self, user_id: int) -> Tuple[np.ndarray, np.ndarray]:
         """Padded ``(indices, mask)`` of the stored suffix (empty when cold).
@@ -349,14 +341,47 @@ class UserSequenceStore:
         never evict warm users' accumulated ``update``-head state.
         """
         with self._lock:
-            cached = self._peek(user_id)
-            if cached is not None:
-                self._hits += 1
-                self._touch(user_id)
-                return cached.indices, cached.mask
-            self._misses += 1
-            entry = self._encode_entry(())
-            return entry.indices, entry.mask
+            entry = self._lookup(user_id, None)
+        return entry.indices, entry.mask
+
+    def encode_rows(self, user_ids: Sequence[int],
+                    histories: Sequence[Optional[Sequence[int]]]) -> Tuple[np.ndarray, np.ndarray]:
+        """Padded ``(B, max_seq_len)`` indices and mask for a column of rows.
+
+        Under one lock, each row takes the step :meth:`encode` (a history of
+        exact ``int``s) or :meth:`encode_stored` (``None``) would, in row
+        order.  A negative user id has no server state: its literal history
+        is padded without touching the store.
+        """
+        length = self.max_seq_len
+        rows = []
+        with self._lock:
+            for user_id, history in zip(user_ids, histories):
+                if user_id >= 0:
+                    entry = self._lookup(
+                        user_id, None if history is None else tuple(history[-length:]))
+                    rows.append((entry.indices, entry.mask))
+                else:
+                    indices, mask = pad_sequences([history or ()], length, PADDING_INDEX)
+                    rows.append((indices[0], mask[0]))
+        indices, mask = zip(*rows)
+        return np.stack(indices), np.stack(mask)
+
+    def _lookup(self, user_id: int, fingerprint: Optional[Tuple[int, ...]]):  # repro: locked[_lock]
+        """One row's cache step: the entry answering ``fingerprint`` exactly,
+        or the stored suffix for ``None`` (a cold user's miss seeds nothing)."""
+        cached = self._peek(user_id)
+        if cached is not None and (fingerprint is None or cached.fingerprint == fingerprint):
+            self._hits += 1
+            self._touch(user_id)
+            return cached
+        self._misses += 1
+        if fingerprint is None:
+            return self._encode_entry(())
+        entry = self._encode_entry(fingerprint)
+        self._journal_put("put", user_id, entry)
+        self._cache.put(user_id, entry)
+        return entry
 
     def history(self, user_id: int) -> Optional[Tuple[int, ...]]:
         """The stored visible history suffix, or ``None`` for cold users.

@@ -414,8 +414,8 @@ class DurableSequenceStore:
 
     Drop-in for :class:`UserSequenceStore` (the micro-batcher, the
     ``update`` head and the router cannot tell them apart): same ``encode``
-    / ``encode_stored`` / ``history`` / ``append_event`` / ``record`` /
-    ``stats`` / ``snapshot`` surface, plus
+    / ``encode_stored`` / ``encode_rows`` / ``history`` / ``append_event`` /
+    ``record`` / ``stats`` / ``snapshot`` surface, plus
 
     * **write-ahead journaling** — the inner store emits one record per
       mutation *before* applying it; the records land in a
@@ -582,6 +582,10 @@ class DurableSequenceStore:
 
     def encode_stored(self, user_id: int) -> Tuple[np.ndarray, np.ndarray]:
         return self._store.encode_stored(user_id)
+
+    def encode_rows(self, user_ids: Sequence[int],
+                    histories: Sequence[Optional[Sequence[int]]]) -> Tuple[np.ndarray, np.ndarray]:
+        return self._store.encode_rows(user_ids, histories)
 
     def history(self, user_id: int) -> Optional[Tuple[int, ...]]:
         return self._store.history(user_id)

@@ -37,8 +37,8 @@ express: the stateful ``update`` head (append interaction events to a user's
 server-side sequence, closing the recommend → click → update → recommend
 loop) and per-request **model routing** — a mixed JSONL stream may target any
 registered model via the envelope's ``model`` field, with
-:class:`ServingRouter` grouping traffic per (model, head) and micro-batching
-each group.
+:class:`ServingRouter` grouping traffic per (model, head) and scoring
+each line as one batch.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from repro.serving.batcher import (
     MicroBatcher,
     RankedCandidates,
     RankRequest,
+    ScoreColumns,
     ScoreRequest,
 )
 
@@ -273,16 +274,26 @@ def require_mapping(payload: Any, head: str) -> dict:
 
 
 def parse_int(value: Any, key: str) -> int:
+    """An integer field: ints, integral floats (``2.0``) and numeric strings."""
     if isinstance(value, bool) or isinstance(value, (list, tuple, dict)):
         raise ProtocolError(ERR_BAD_REQUEST, f"{key!r} must be an integer")
     try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
         return int(value)
     except (TypeError, ValueError):
         raise ProtocolError(ERR_BAD_REQUEST, f"{key!r} must be an integer, "
                                              f"got {value!r}") from None
 
 
+def is_int_list(value: Any) -> bool:
+    """Whether ``value`` is a list/tuple of exact ``int``s (one C-level pass)."""
+    return type(value) in (list, tuple) and set(map(type, value)) <= {int}
+
+
 def parse_int_list(value: Any, key: str) -> List[int]:
+    if is_int_list(value):
+        return list(value)
     if isinstance(value, (str, bytes)) or not isinstance(value, (list, tuple)):
         raise ProtocolError(ERR_BAD_REQUEST, f"{key!r} must be a list of integers")
     return [parse_int(item, key) for item in value]
@@ -354,6 +365,10 @@ class Head:
     def parse(self, payload: dict, defaults: ServeDefaults):
         """Build the head's request object from one JSON payload."""
         raise NotImplementedError
+
+    def parse_all(self, payloads: Sequence[dict], defaults: ServeDefaults):
+        """Parse a line's payloads into what :meth:`execute` takes."""
+        return [self.parse(payload, defaults) for payload in payloads]
 
     def execute(self, batcher: MicroBatcher, requests: Sequence) -> List:
         """Answer a parsed batch through ``batcher``, results in order."""
@@ -434,8 +449,28 @@ class ScoringHead(Head):
             object_id=parse_int(payload.get("object_id", -1), "object_id"),
         )
 
-    def execute(self, batcher: MicroBatcher, requests: Sequence) -> List[float]:
-        return [float(score) for score in batcher.score_all(requests)]
+    def parse_all(self, payloads: Sequence[dict], defaults: ServeDefaults) -> ScoreColumns:
+        """A line's payloads as one :class:`ScoreColumns`.  A canonical payload
+        (exact ``int`` ids, lists of exact ``int``s) is taken as is; any other
+        goes through :meth:`parse`, which owns every coercion and error."""
+        missing = None if defaults.stored_history else ()
+        rows = []
+        for payload in payloads:
+            if type(payload) is dict:
+                row = static, history, user_id, object_id = (
+                    payload.get("static_indices"), payload.get("history", missing),
+                    payload.get("user_id", -1), payload.get("object_id", -1))
+                if type(user_id) is int and type(object_id) is int and is_int_list(static) \
+                        and (history is None or is_int_list(history)):
+                    rows.append(row)
+                    continue
+            request = self.parse(payload, defaults)
+            rows.append((request.static_indices, request.history, request.user_id,
+                         request.object_id))
+        return ScoreColumns(*zip(*rows))
+
+    def execute(self, batcher: MicroBatcher, requests) -> List[float]:
+        return batcher.score_all(requests).tolist()
 
     def serialize(self, result: float) -> dict:
         return {"score": result}
@@ -732,8 +767,8 @@ class ServingRouter:
     stream may interleave envelopes targeting any registered model and head;
     each distinct (model, head) pair lazily gets its own
     :class:`~repro.serving.batcher.MicroBatcher` (sharing the model's
-    engine and user-sequence store), so traffic for the same group keeps
-    coalescing no matter how the stream interleaves.
+    engine and user-sequence store) and its counters; each line is scored
+    as its own batch.
     """
 
     def __init__(
@@ -756,8 +791,8 @@ class ServingRouter:
     def batcher_for(self, model: Optional[str], head_name: str):
         """The (entry, batcher) pair serving one (model, head) group.
 
-        Created on first use, then reused so same-group requests keep
-        micro-batching together — but never served stale: a cached pair is
+        Created on first use, then reused so a group's counters accumulate
+        — but never served stale: a cached pair is
         dropped and rebuilt when the registry's entry for the name was
         replaced (``register(overwrite=True)``) or its retrieval pipeline
         swapped (index rebuild / hot-swap), so a long-lived router always
@@ -797,10 +832,9 @@ class ServingRouter:
                                      stored_history=True)
         return defaults
 
-    def parse_requests(self, head: Head, envelope: Envelope) -> List:
-        """Parse every payload of ``envelope`` through ``head``."""
-        defaults = self.defaults_for(envelope)
-        return [head.parse(payload, defaults) for payload in envelope.payloads]
+    def parse_requests(self, head: Head, envelope: Envelope):
+        """Parse every payload of ``envelope`` through ``head``, in one call."""
+        return head.parse_all(envelope.payloads, self.defaults_for(envelope))
 
     def execute(self, envelope: Envelope):
         """Answer one envelope; returns ``(response_body, rows, head)``.

@@ -46,7 +46,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass, field
-from typing import IO, Dict, Iterable, List, Optional
+from typing import IO, Dict, Iterable, Optional
 
 from repro.serving.batcher import RankRequest, RecommendRequest, ScoreRequest
 from repro.serving.cache import CacheStats
@@ -118,7 +118,7 @@ def execute_batch(
             ERR_BAD_REQUEST, f"no requests for head {head_obj.name!r}"
         )
     defaults = ServeDefaults(k=k, n_retrieve=n_retrieve)
-    requests = [head_obj.parse(payload, defaults) for payload in payloads]
+    requests = head_obj.parse_all(payloads, defaults)
     entry = registry.get(name)
     batcher = entry.batcher(max_batch_size=max_batch_size, head=head_obj.name,
                             heads=head_registry)
@@ -182,22 +182,10 @@ def parse_request(payload: dict) -> ScoreRequest:
     return default_heads().get("score").parse(payload, ServeDefaults())
 
 
-def parse_requests(payloads: Iterable[dict]) -> List[ScoreRequest]:
-    """Deprecated: parse scoring payloads (now ``Head.parse``)."""
-    return [parse_request(payload) for payload in payloads]
-
-
 def parse_rank_request(payload: dict, default_k: Optional[int] = None) -> RankRequest:
     """Deprecated: parse one ranking payload (now ``Head.parse``)."""
     return default_heads().get(RANK_TOPK_HEAD).parse(
         payload, ServeDefaults(k=default_k))
-
-
-def parse_rank_requests(
-    payloads: Iterable[dict], default_k: Optional[int] = None
-) -> List[RankRequest]:
-    """Deprecated: parse ranking payloads (now ``Head.parse``)."""
-    return [parse_rank_request(payload, default_k) for payload in payloads]
 
 
 def parse_recommend_request(
@@ -208,18 +196,6 @@ def parse_recommend_request(
     """Deprecated: parse one recommendation payload (now ``Head.parse``)."""
     return default_heads().get(RECOMMEND_HEAD).parse(
         payload, ServeDefaults(k=default_k, n_retrieve=default_n_retrieve))
-
-
-def parse_recommend_requests(
-    payloads: Iterable[dict],
-    default_k: Optional[int] = None,
-    default_n_retrieve: Optional[int] = None,
-) -> List[RecommendRequest]:
-    """Deprecated: parse recommendation payloads (now ``Head.parse``)."""
-    return [
-        parse_recommend_request(payload, default_k, default_n_retrieve)
-        for payload in payloads
-    ]
 
 
 # --------------------------------------------------------------------------- #

@@ -242,7 +242,7 @@ class PoisonableScoringHead(ScoringHead):
         super().__init__("score", "score")
 
     def execute(self, batcher, requests):
-        if any(request.user_id == self.POISONED_USER for request in requests):
+        if self.POISONED_USER in requests.user_ids:
             raise RuntimeError("poisoned request reached the engine")
         return super().execute(batcher, requests)
 

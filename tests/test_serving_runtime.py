@@ -103,40 +103,65 @@ class TestMicroBatcher:
         np.testing.assert_allclose(scores, singles, atol=1e-9)
         assert batcher.stats.batches >= 5  # 23 requests / max 5 per flush
 
-    def test_auto_flush_at_max_batch_size(self, engine):
+    def test_chunks_at_max_batch_size(self, engine):
+        """11 rows at max 4 are three engine calls, each scoring its chunk."""
+        calls = []
+
+        def score_fn(batch):
+            calls.append(len(batch))
+            return engine.score(batch)
+
+        batcher = MicroBatcher(score_fn, max_batch_size=4, max_seq_len=CONFIG.max_seq_len)
+        requests = make_requests(11, seed=2)
+        scores = batcher.score_all(requests)
+        assert calls == [4, 4, 3]
+        chunks = [requests[start:start + 4] for start in range(0, 11, 4)]
+        expected = np.concatenate([engine.score(batcher.collate(chunk)) for chunk in chunks])
+        np.testing.assert_array_equal(scores, expected)
+        assert (batcher.stats.requests, batcher.stats.batches,
+                batcher.stats.rows_scored) == (11, 3, 11)
+
+    def test_exact_multiple_makes_no_empty_chunk(self, engine):
         batcher = MicroBatcher(engine.score, max_batch_size=4, max_seq_len=CONFIG.max_seq_len)
-        handles = [batcher.submit(request) for request in make_requests(4)]
-        assert all(handle.done for handle in handles)  # 4th submit flushed
-        assert len(batcher) == 0
-        assert batcher.stats.batches == 1
+        assert batcher.score_all(make_requests(8)).shape == (8,)
+        assert batcher.stats.batches == 2 and batcher.stats.mean_batch_size == 4.0
 
-    def test_pending_until_flush(self, engine):
-        batcher = MicroBatcher(engine.score, max_batch_size=100, max_seq_len=CONFIG.max_seq_len)
-        handle = batcher.submit(make_requests(1)[0])
-        assert not handle.done
-        with pytest.raises(RuntimeError):
-            _ = handle.value
-        assert batcher.flush() == 1
-        assert handle.done and np.isfinite(handle.value)
+    def test_failing_chunk_raises_its_first_error_after_every_chunk(self, engine):
+        """A poison row fails its chunk; later chunks still run, and the first
+        chunk's error is the one raised."""
+        store = UserSequenceStore(CONFIG.max_seq_len, capacity=64)
+        batcher = MicroBatcher(engine.score, max_batch_size=2, max_seq_len=CONFIG.max_seq_len,
+                               sequence_store=store)
+        good = make_requests(3, seed=5)
+        poison = [ScoreRequest(static_indices=[999999, 0], user_id=20),
+                  ScoreRequest(static_indices=[0, 1], history=[CONFIG.dynamic_vocab_size],
+                               user_id=21)]
+        requests = [good[0], poison[0], good[1], good[2], poison[1], good[0]]
+        with pytest.raises(IndexError, match="^static feature index out of range"):
+            batcher.score_all(requests)
+        assert (batcher.stats.requests, batcher.stats.batches,
+                batcher.stats.rows_scored) == (6, 1, 2)
+        assert 21 in store          # the failing last chunk still encoded its rows
+        # the batcher is not wedged: the good rows score on their own
+        np.testing.assert_array_equal(batcher.score_all(good[1:3]),
+                                      engine.score(batcher.collate(good[1:3])))
 
-    def test_failed_chunk_resolves_handles_with_error(self, engine):
-        """A poison request fails its chunk's handles; the batcher survives."""
-        batcher = MicroBatcher(engine.score, max_batch_size=2, max_seq_len=CONFIG.max_seq_len)
-        good = make_requests(2, seed=5)
-        first = batcher.submit(good[0])
-        with pytest.raises(IndexError):
-            batcher.submit(ScoreRequest(static_indices=[999999, 0]))  # auto-flush fails
-        assert first.done and isinstance(first.error, IndexError)
-        with pytest.raises(IndexError):
-            _ = first.value
-        # the batcher is not wedged: subsequent requests score normally
-        survivor = batcher.submit(good[1])
-        assert batcher.flush() == 1
-        assert survivor.error is None and np.isfinite(survivor.value)
+    def test_empty_input_scores_nothing(self, engine):
+        calls = []
+        batcher = MicroBatcher(lambda batch: calls.append(batch), max_batch_size=4,
+                               max_seq_len=CONFIG.max_seq_len)
+        scores = batcher.score_all([])
+        assert scores.shape == (0,) and scores.dtype == np.float64
+        assert calls == [] and batcher.stats.batches == 0
+        with pytest.raises(ValueError, match="zero requests"):
+            batcher.collate([])
 
-    def test_flush_empty_is_noop(self, engine):
-        batcher = MicroBatcher(engine.score, max_batch_size=4, max_seq_len=CONFIG.max_seq_len)
-        assert batcher.flush() == 0
+    def test_wrong_score_shape_is_an_error(self, engine):
+        batcher = MicroBatcher(lambda batch: np.zeros(len(batch) + 1),
+                               max_seq_len=CONFIG.max_seq_len)
+        with pytest.raises(ValueError, match="expected \\(3,\\)"):
+            batcher.score_all(make_requests(3))
+        assert batcher.stats.batches == 0
 
     def test_collate_padding_invariants(self, engine):
         batcher = MicroBatcher(engine.score, max_batch_size=8, max_seq_len=CONFIG.max_seq_len)
