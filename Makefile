@@ -4,34 +4,24 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint sanitize bench bench-train bench-rank bench-retrieve bench-serve bench-durability bench-online bench-record bench-compare import-time docs-check all
+.PHONY: test lint bench bench-train bench-rank bench-retrieve bench-serve bench-durability bench-online bench-record bench-compare import-time docs-check all
 
 # Tier-1 test suite (the acceptance gate for every PR).
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Static analysis: the in-repo analyzer (lock discipline, lock-order/deadlock
-# detection, blocking-under-lock, shared-state drift, kernel purity, protocol
-# completeness, numerics hygiene) over src + tests + benchmarks against the
-# committed baseline, plus ruff (import order, unused imports, bugbear) when
-# it is installed.  --jobs parallelises parsing; output is byte-identical.
+# Static analysis: the in-repo analyzer (kernel purity, lock discipline,
+# numerics hygiene, protocol completeness) over src + tests + benchmarks
+# against the committed baseline, plus ruff (import order, unused imports,
+# bugbear) when it is installed.
 # CI passes LINT_FLAGS="--format github" to surface findings as annotations.
 lint:
-	$(PYTHON) -m repro.analysis src tests benchmarks --baseline analysis-baseline.txt --jobs 4 $(LINT_FLAGS)
+	$(PYTHON) -m repro.analysis src tests benchmarks --baseline analysis-baseline.txt $(LINT_FLAGS)
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests benchmarks examples; \
 	else \
 		echo "lint: ruff not installed; skipped (CI runs it)"; \
 	fi
-
-# Runtime lock sanitizer: rerun the lock-bearing suites (durable store + WAL,
-# serve loop, online retrain) with threading.Lock/RLock instrumented
-# (REPRO_LOCK_SANITIZER=1).  Acquisition order is recorded per thread,
-# inversions fail the offending test on the spot, the observed graph lands in
-# results/lock_sanitizer.json, and the final test asserts observed ⊆ static
-# (so it must run last).
-sanitize:
-	REPRO_LOCK_SANITIZER=1 $(PYTHON) -m pytest tests/test_serving_durability.py tests/test_serving_protocol.py tests/test_online_learning.py tests/test_lock_sanitizer.py -q
 
 # Benchmark suite: regenerates the paper's tables/figures and the serving
 # throughput reports into results/*.txt (includes bench-train and bench-rank).

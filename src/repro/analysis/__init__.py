@@ -6,18 +6,10 @@ inline (``# repro: allow[rule-id]``) nor grandfathered in the committed
 baseline (``analysis-baseline.txt``).  See :mod:`repro.analysis.core` for
 the framework and the individual rule modules for what each one enforces:
 
-* ``lock-discipline`` — :mod:`repro.analysis.lock_discipline`
-* ``lock-order`` — :mod:`repro.analysis.lock_order`
-* ``blocking-under-lock`` — :mod:`repro.analysis.lock_order`
-* ``shared-state-drift`` — :mod:`repro.analysis.lock_order`
 * ``kernel-purity`` — :mod:`repro.analysis.kernel_purity`
-* ``protocol-completeness`` — :mod:`repro.analysis.protocol_completeness`
+* ``lock-discipline`` — :mod:`repro.analysis.lock_discipline`
 * ``numerics-hygiene`` — :mod:`repro.analysis.numerics`
-
-The concurrency rules share the repo-wide call graph built by
-:mod:`repro.analysis.callgraph`; the static lock graph they derive is
-cross-validated at runtime by the opt-in :mod:`repro.analysis.sanitizer`
-(``make sanitize``).
+* ``protocol-completeness`` — :mod:`repro.analysis.protocol_completeness`
 """
 
 from repro.analysis.core import (  # noqa: F401 — the public surface
@@ -32,25 +24,8 @@ from repro.analysis.core import (  # noqa: F401 — the public surface
     load_baseline,
     render_baseline,
 )
-from repro.analysis.callgraph import CallGraph, get_callgraph  # noqa: F401
 from repro.analysis.kernel_purity import KernelPurityRule  # noqa: F401
 from repro.analysis.lock_discipline import LockDisciplineRule  # noqa: F401
-from repro.analysis.lock_order import (  # noqa: F401
-    BlockingUnderLockRule,
-    LockAnalysis,
-    LockOrderRule,
-    SharedStateDriftRule,
-    get_lock_analysis,
-    static_lock_edges,
-)
-from repro.analysis.sanitizer import (  # noqa: F401
-    LockOrderViolation,
-    LockSanitizer,
-    active_sanitizer,
-    enabled_from_env,
-    install_sanitizer,
-    uninstall_sanitizer,
-)
 from repro.analysis.numerics import NumericsHygieneRule  # noqa: F401
 from repro.analysis.protocol_completeness import ProtocolCompletenessRule  # noqa: F401
 
@@ -58,12 +33,9 @@ from repro.analysis.protocol_completeness import ProtocolCompletenessRule  # noq
 def default_rules():
     """One instance of every registered rule, in stable id order."""
     rules = [
-        BlockingUnderLockRule(),
         KernelPurityRule(),
         LockDisciplineRule(),
-        LockOrderRule(),
         NumericsHygieneRule(),
         ProtocolCompletenessRule(),
-        SharedStateDriftRule(),
     ]
     return sorted(rules, key=lambda rule: rule.rule_id)

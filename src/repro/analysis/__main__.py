@@ -51,9 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--select", default=None, metavar="RULES",
                         help="comma-separated rule ids to run "
                              "(default: all)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parse files with N parallel workers; output is "
-                             "byte-identical to a serial run (default: 1)")
     parser.add_argument("--root", type=Path, default=None,
                         help="repository root findings are reported relative "
                              "to (default: current directory)")
@@ -98,12 +95,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   file=sys.stderr)
             return USAGE_ERROR
 
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return USAGE_ERROR
-
-    report = analyze(paths, rules, root=args.root, baseline=baseline,
-                     jobs=args.jobs)
+    report = analyze(paths, rules, root=args.root, baseline=baseline)
 
     if args.write_baseline is not None:
         grandfathered = sorted(report.findings + report.baselined)

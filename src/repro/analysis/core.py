@@ -41,8 +41,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 #: Rule id the framework itself emits for files `ast.parse` rejects.
 SYNTAX_ERROR_RULE = "syntax-error"
 
-#: Inline suppression: ``# repro: allow[rule-a]`` or ``allow[rule-a,rule-b]``.
-_ALLOW_COMMENT = re.compile(r"#\s*repro:\s*allow\[([\w\-, ]+)\]")
+#: Inline suppression: a ``repro: allow[rule-a]`` (or ``allow[rule-a,rule-b]``)
+#: comment.
+ALLOW_COMMENT = re.compile(r"#\s*repro:\s*allow\[([\w\-, ]+)\]")
 
 #: Separator between the key fields of a baseline entry.
 KEY_SEPARATOR = " :: "
@@ -95,7 +96,7 @@ class Module:
         lines = self.source.splitlines()
         for candidate in (line, line - 1):
             if 1 <= candidate <= len(lines):
-                match = _ALLOW_COMMENT.search(lines[candidate - 1])
+                match = ALLOW_COMMENT.search(lines[candidate - 1])
                 if match:
                     allowed.update(part.strip()
                                    for part in match.group(1).split(","))
@@ -107,26 +108,11 @@ class Project:
     """Every module of one analysis run, for whole-repo rules."""
 
     modules: List[Module] = field(default_factory=list)
-    #: Expensive derived structures (the call graph, the lock graph) built
-    #: once per run and shared by every rule that asks for them.
-    _caches: Dict[str, object] = field(default_factory=dict, repr=False,
-                                       compare=False)
 
     def find(self, suffix: str) -> Optional[Module]:
         """The unique module whose path ends with ``suffix``, if present."""
         matches = [module for module in self.modules if module.matches(suffix)]
         return matches[0] if len(matches) == 1 else None
-
-    def cache(self, key: str, build):
-        """``build(self)`` memoized under ``key`` for this project's lifetime.
-
-        Project rules share derived structures through this: the first rule
-        to ask pays for the build, later rules (and later queries from the
-        same rule) reuse it.
-        """
-        if key not in self._caches:
-            self._caches[key] = build(self)
-        return self._caches[key]
 
 
 class Rule:
@@ -242,31 +228,18 @@ def analyze(
     rules: Sequence[Rule],
     root: Optional[Path] = None,
     baseline: Sequence[str] = (),
-    jobs: int = 1,
 ) -> AnalysisReport:
     """Run ``rules`` over every Python file under ``paths``.
 
     Findings are bucketed into failing / baselined / suppressed and sorted
     by (path, line, col, rule) so two runs over the same tree — any
     platform, any filesystem order — render byte-identical reports.
-
-    ``jobs`` parallelizes the read-and-parse phase only; results are
-    collected in file order, so the report is byte-identical to a serial
-    run at any worker count.  Rules always run serially: they are cheap
-    relative to parsing and several share mutable project-level caches.
     """
     root = root if root is not None else Path.cwd()
     project = Project()
     raw_findings: List[Finding] = []
-    files = collect_files(paths)
-    if jobs > 1 and len(files) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parsed = list(pool.map(lambda path: parse_module(path, root),
-                                   files))
-    else:
-        parsed = [parse_module(path, root) for path in files]
-    for module, failure in parsed:
+    for path in collect_files(paths):
+        module, failure = parse_module(path, root)
         if failure is not None:
             raw_findings.append(failure)
         if module is not None:

@@ -157,16 +157,11 @@ class LockDisciplineRule(Rule):
                       method: ast.FunctionDef, findings: List[Finding]) -> None:
         if method.name in CONSTRUCTION_METHODS:
             return
-        held = self._annotated_locks(module, method)
+        held = annotated_locks(module, method)
         if held is None:  # bare '# repro: locked' — every lock held
             return
         for statement in method.body:
             self._visit(module, class_name, guarded, statement, held, findings)
-
-    def _annotated_locks(self, module: Module,
-                         method: ast.FunctionDef) -> Optional[FrozenSet[str]]:
-        """Locks the method's ``# repro: locked`` annotation asserts are held."""
-        return annotated_locks(module, method)
 
     # ------------------------------------------------------------------ #
     # Lexical walk, tracking which 'with self.<lock>:' blocks enclose us
@@ -177,7 +172,7 @@ class LockDisciplineRule(Rule):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             # A nested function may outlive the enclosing 'with': no lock is
             # lexically inherited (its own annotation may re-assert one).
-            inner = self._annotated_locks(module, node) \
+            inner = annotated_locks(module, node) \
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else frozenset()
             if inner is None:
                 return

@@ -203,7 +203,6 @@ class InteractionLogReader:
             # The cursor write must happen under the lock — check-then-write
             # against the monotonicity guard above — and advance() is called
             # once per retrain, never on the serving path.
-            # repro: allow[blocking-under-lock]
             atomic_write_text(
                 self.cursor_path,
                 json.dumps(cursor.as_dict(), separators=(",", ":"),

@@ -490,11 +490,9 @@ class DurableSequenceStore:
             os.fsync(handle.fileno())
 
     # The store invokes this sink while holding its own lock (journal-
-    # before-mutation), so the WAL lock nests *inside* the store lock — an
-    # acquisition order the call graph cannot see through the callback.
-    # Declared here so the static graph (and the runtime sanitizer's
-    # observed ⊆ static check) knows the intended order:
-    # repro: lock-edge[UserSequenceStore._lock -> WriteAheadLog._lock]
+    # before-mutation), so the WAL lock nests inside the store lock:
+    # UserSequenceStore._lock is always taken before WriteAheadLog._lock,
+    # never the other way round.
     def _journal_sink(self, record: dict) -> None:
         """The inner store's journal: every mutation record → WAL append."""
         if not self.log_reads and record.get("op") == "touch":
@@ -523,11 +521,9 @@ class DurableSequenceStore:
             # lock is the point — one checkpoint at a time, serialized
             # against close().  Serving traffic takes the store/WAL locks,
             # never this one, so it does not stall behind the I/O.
-            # repro: allow[blocking-under-lock]
             atomic_write_text(self._snapshot_path,
                               json.dumps(doc, separators=(",", ":"),
                                          sort_keys=True))
-            # repro: allow[blocking-under-lock]
             self._wal.compact(seq)
             self._snapshot_seq = seq
             return seq

@@ -1,21 +1,11 @@
 """Shared fixtures for the test suite: tiny deterministic datasets, encoders,
-batches and models that keep individual tests fast.
-
-When ``REPRO_LOCK_SANITIZER=1`` (the ``make sanitize`` entry point), the
-session-scoped fixture below additionally routes every lock the runtime
-creates through :mod:`repro.analysis.sanitizer`: acquisition order is
-recorded per thread, inversions raise inside the offending test, and the
-observed graph is dumped to ``results/lock_sanitizer.json`` at session end
-for the observed ⊆ static cross-validation."""
+batches and models that keep individual tests fast."""
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.analysis import sanitizer as lock_sanitizer_module
 from repro.core.config import SeqFMConfig
 from repro.core.model import SeqFM
 from repro.data import synthetic
@@ -23,26 +13,6 @@ from repro.data.features import FeatureBatch, FeatureEncoder
 from repro.data.interactions import Interaction, InteractionLog
 from repro.data.sampling import NegativeSampler
 from repro.data.split import leave_one_out_split
-
-
-@pytest.fixture(scope="session", autouse=True)
-def lock_sanitizer():
-    """Instrumented locks for the whole session when the env flag asks.
-
-    Off by default: ``make test`` runs with real locks.  ``make sanitize``
-    sets ``REPRO_LOCK_SANITIZER=1`` and runs the concurrency-bearing suites
-    under the wrapper; the observed acquisition graph survives the run as
-    ``results/lock_sanitizer.json``.
-    """
-    if not lock_sanitizer_module.enabled_from_env():
-        yield None
-        return
-    sanitizer = lock_sanitizer_module.install_sanitizer()
-    try:
-        yield sanitizer
-    finally:
-        lock_sanitizer_module.uninstall_sanitizer()
-        sanitizer.dump(Path("results") / "lock_sanitizer.json")
 
 
 @pytest.fixture

@@ -10,7 +10,10 @@ contract (0 clean / 1 findings / 2 usage error) and the real-tree test keeps
 
 from __future__ import annotations
 
+import ast
+import io
 import textwrap
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -22,8 +25,12 @@ from repro.analysis import (
     ProtocolCompletenessRule,
     SYNTAX_ERROR_RULE,
     analyze,
+    default_rules,
+    load_baseline,
 )
 from repro.analysis.__main__ import main as analysis_main
+from repro.analysis.core import ALLOW_COMMENT, KEY_SEPARATOR, attribute_on, dotted_name
+from repro.analysis.lock_discipline import CONSTRUCTION_METHODS, DEFAULT_SHARED_STATE
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -108,6 +115,27 @@ class TestLockDiscipline:
                     self._items.pop(key)  # repro: allow[lock-discipline]
             """}, [LOCK_RULE])
         assert report.ok and len(report.suppressed) == 1
+
+    def test_annotation_above_decorated_method_is_honoured(self, tmp_path):
+        report = run(tmp_path, {"store.py": """\
+            class Store:
+                # repro: locked[_lock]
+                @property
+                def head(self):
+                    return self._items.pop(0)
+            """}, [LOCK_RULE])
+        assert report.ok and not report.findings
+
+    def test_decorated_method_without_annotation_is_still_flagged(
+            self, tmp_path):
+        report = run(tmp_path, {"store.py": """\
+            class Store:
+                @property
+                def head(self):
+                    return self._items.pop(0)
+            """}, [LOCK_RULE])
+        assert [(f.rule, f.line) for f in report.findings] == \
+            [("lock-discipline", 4)]
 
 
 # --------------------------------------------------------------------------- #
@@ -443,30 +471,21 @@ class TestCli:
                               "--select", "kernel-purity"]) == 0
         capsys.readouterr()
 
-    def test_jobs_output_is_byte_identical_to_serial(self, tmp_path, capsys):
-        for index in range(6):
-            (tmp_path / f"mod_{index}.py").write_text(
-                f"x{index} = {index} == 0.3\n", encoding="utf-8")
-        serial_code = analysis_main([str(tmp_path), "--root", str(tmp_path)])
-        serial = capsys.readouterr()
-        parallel_code = analysis_main([str(tmp_path), "--root", str(tmp_path),
-                                       "--jobs", "4"])
-        parallel = capsys.readouterr()
-        assert serial_code == parallel_code == 1
-        assert serial.out == parallel.out
+    def test_removed_parallel_parse_option_is_a_usage_error(self, tmp_path,
+                                                            capsys):
+        """Parsing is serial; an old command line fails loudly."""
+        with pytest.raises(SystemExit) as info:
+            analysis_main([str(tmp_path), "--jobs", "4"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --jobs 4" in capsys.readouterr().err
 
-    def test_exit_two_on_nonpositive_jobs(self, tmp_path, capsys):
-        (tmp_path / "clean.py").write_text("x = 1\n", encoding="utf-8")
-        assert analysis_main([str(tmp_path), "--jobs", "0"]) == 2
-        assert "jobs" in capsys.readouterr().err
-
-    def test_list_rules_names_all_seven(self, capsys):
+    def test_list_rules_names_the_four_rules(self, capsys):
+        """Exactly these four: no concurrency rule survives the serial loop."""
         assert analysis_main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule_id in ("lock-discipline", "lock-order", "blocking-under-lock",
-                        "shared-state-drift", "kernel-purity",
-                        "protocol-completeness", "numerics-hygiene"):
-            assert rule_id in out
+        listed = [line.split(":")[0]
+                  for line in capsys.readouterr().out.splitlines()]
+        assert listed == ["kernel-purity", "lock-discipline",
+                          "numerics-hygiene", "protocol-completeness"]
 
 
 # --------------------------------------------------------------------------- #
@@ -505,3 +524,128 @@ def test_full_tree_is_clean_against_committed_baseline(capsys):
 def test_escape_hatches_stay_visible_in_the_tree(expected):
     source = (REPO_ROOT / expected).read_text(encoding="utf-8")
     assert "# repro: " in source
+
+
+# --------------------------------------------------------------------------- #
+# DEFAULT_SHARED_STATE stays true to the tree, in both directions
+# --------------------------------------------------------------------------- #
+SRC = REPO_ROOT / "src"
+LOCK_FACTORIES = frozenset({"threading.Lock", "threading.RLock"})
+
+
+def _is_lock_factory(node) -> bool:
+    return isinstance(node, ast.Call) and dotted_name(node.func) in LOCK_FACTORIES
+
+
+def _constructed(class_def: ast.ClassDef) -> dict:
+    """Attribute → value node for everything construction sets.
+
+    That is ``self.<x> = ...`` in ``__init__``/``__post_init__``/``__new__``
+    plus class-level annotated fields (a dataclass's ``__init__``).
+    """
+    assigned = {}
+    for item in class_def.body:
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            assigned[item.target.id] = item.value
+        elif isinstance(item, ast.FunctionDef) and item.name in CONSTRUCTION_METHODS:
+            for node in ast.walk(item):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, ast.AnnAssign):
+                    targets = [node.target]
+                else:
+                    continue
+                for target in targets:
+                    attr = attribute_on(target, "self")
+                    if attr is not None:
+                        assigned[attr] = node.value
+    return assigned
+
+
+def _classes(module: str) -> dict:
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    return {node.name: node for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)}
+
+
+DECLARED_STATE = [
+    pytest.param(module, class_name, attr, lock, id=f"{class_name}.{attr}")
+    for module, classes in sorted(DEFAULT_SHARED_STATE.items())
+    for class_name, attrs in sorted(classes.items())
+    for attr, lock in sorted(attrs.items())
+]
+
+
+def _lock_sites():
+    """``self.<x> = threading.Lock()/RLock()`` anywhere in a class under src/."""
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        if "threading" not in source:
+            continue
+        module = path.relative_to(SRC).as_posix()
+        for class_def in ast.walk(ast.parse(source)):
+            if not isinstance(class_def, ast.ClassDef):
+                continue
+            for node in ast.walk(class_def):
+                if isinstance(node, ast.Assign) and _is_lock_factory(node.value):
+                    for target in node.targets:
+                        lock = attribute_on(target, "self")
+                        if lock is not None:
+                            sites.append(pytest.param(
+                                module, class_def.name, lock,
+                                id=f"{class_def.name}.{lock}"))
+    return sites
+
+
+@pytest.mark.parametrize("module,class_name,attr,lock", DECLARED_STATE)
+def test_declared_shared_state_exists(module, class_name, attr, lock):
+    """No stale entry: module, class, attribute and lock are all real."""
+    assert (SRC / module).is_file(), f"no module {module}"
+    class_def = _classes(module).get(class_name)
+    assert class_def is not None, f"{module} defines no class {class_name}"
+    constructed = _constructed(class_def)
+    assert attr in constructed, f"{class_name} never sets {attr} at construction"
+    assert _is_lock_factory(constructed.get(lock)), (
+        f"{class_name} does not create {lock} from threading.Lock()/RLock()")
+
+
+@pytest.mark.parametrize("module,class_name,lock", _lock_sites())
+def test_every_lock_guards_declared_state(module, class_name, lock):
+    """No undeclared lock: each one guards something the map names."""
+    guarded = DEFAULT_SHARED_STATE.get(module, {}).get(class_name, {})
+    assert lock in guarded.values(), (
+        f"{module}: {class_name}.{lock} guards no attribute declared in "
+        "DEFAULT_SHARED_STATE")
+
+
+# --------------------------------------------------------------------------- #
+# Every suppression and baseline entry names a rule that still runs
+# --------------------------------------------------------------------------- #
+def _suppression_sites():
+    """One case per rule id in a ``# repro: allow[...]`` comment, and per
+    baseline entry.  Only real comments count, not fixture strings."""
+    sites = []
+    for root in ("src", "tests", "benchmarks"):
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            source = path.read_text(encoding="utf-8")
+            if "repro:" not in source:
+                continue
+            relative = path.relative_to(REPO_ROOT).as_posix()
+            for token in tokenize.generate_tokens(io.StringIO(source).readline):
+                match = ALLOW_COMMENT.search(token.string) \
+                    if token.type == tokenize.COMMENT else None
+                if match:
+                    for rule_id in match.group(1).split(","):
+                        sites.append(pytest.param(
+                            rule_id.strip(),
+                            id=f"{relative}:{token.start[0]}"))
+    for entry in load_baseline(REPO_ROOT / "analysis-baseline.txt"):
+        path, rule_id, _ = entry.split(KEY_SEPARATOR, 2)
+        sites.append(pytest.param(rule_id, id=f"baseline:{path}"))
+    return sites
+
+
+@pytest.mark.parametrize("rule_id", _suppression_sites())
+def test_suppressions_name_a_registered_rule(rule_id):
+    assert rule_id in {rule.rule_id for rule in default_rules()}

@@ -28,6 +28,7 @@ Proves the contract of :mod:`repro.online` end to end:
 from __future__ import annotations
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -265,6 +266,56 @@ class TestInteractionLogReader:
         reader.advance(reader.tail().cursor)
         assert cursor_path.exists()
         assert json.loads(cursor_path.read_text())["seq"] == 2
+
+    def test_tails_while_another_thread_advances_lose_and_double_nothing(
+            self, tmp_path):
+        """The cursor moves record by record on one thread while another
+        tails from it: every tail starts at a real cursor and holds exactly
+        the records past it."""
+        total = 40
+        make_wal(tmp_path / WAL_NAME, total).close()
+        data = (tmp_path / WAL_NAME).read_bytes()
+        ends = [index + 1 for index, byte in enumerate(data) if byte == ord("\n")]
+        cursors = [LogCursor(seq=seq, offset=end)
+                   for seq, end in enumerate(ends, start=1)]
+        reader = InteractionLogReader(tmp_path / WAL_NAME)
+        tails, errors = [], []
+        done = threading.Event()
+
+        def advance_all() -> None:
+            try:
+                for cursor in cursors:
+                    reader.advance(cursor)
+            except Exception as error:  # noqa: BLE001 — reported to the main thread
+                errors.append(error)
+            finally:
+                done.set()
+
+        def tail_until_done() -> None:
+            try:
+                while True:
+                    tails.append(reader.tail())
+                    if done.is_set():
+                        return
+            except Exception as error:  # noqa: BLE001 — reported to the main thread
+                errors.append(error)
+
+        pool = [threading.Thread(target=advance_all),
+                threading.Thread(target=tail_until_done)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=60)
+            assert not thread.is_alive(), "log reader thread deadlocked"
+        assert errors == []
+        real = {LogCursor(), *cursors}
+        for tail in tails:
+            assert tail.start in real
+            assert [i.seq for i in tail.interactions] == \
+                list(range(tail.start.seq + 1, total + 1))
+            assert tail.compacted_gap == 0
+        assert reader.cursor == cursors[-1]
+        assert reader.tail().interactions == []
 
     def test_cursor_format_guard(self, tmp_path):
         (tmp_path / CURSOR_NAME).write_text(

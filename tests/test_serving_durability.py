@@ -556,38 +556,47 @@ class TestDurableChaos:
 # --------------------------------------------------------------------------- #
 # Concurrent writers share one store and one log
 # --------------------------------------------------------------------------- #
-def run_writers(store, writers: int = 4, records: int = 60) -> dict:
-    """Threads record disjoint users' events; returns each user's events."""
-    written = {}
+def run_writers(store, writers: int = 4, records: int = 60):
+    """Threads record disjoint users' events.
+
+    Returns each user's accepted events in order, and the ``(user, event)``
+    pairs an injected fault refused.
+    """
+    accepted = {}
+    refused = []
     errors = []
 
     def write(worker: int) -> None:
         try:
             for index in range(records):
                 user = worker * 3 + index % 3
-                store.record(user, [(worker + index) % 10])
+                event = (worker + index) % 10
+                try:
+                    store.record(user, [event])
+                except InjectedFault:
+                    refused.append((user, event))
+                else:
+                    accepted.setdefault(user, []).append(event)
         except Exception as error:  # noqa: BLE001 — reported to the main thread
             errors.append(error)
 
-    for worker in range(writers):
-        for index in range(records):
-            written.setdefault(worker * 3 + index % 3, []).append(
-                (worker + index) % 10)
     pool = [threading.Thread(target=write, args=(worker,))
             for worker in range(writers)]
     for thread in pool:
         thread.start()
     for thread in pool:
-        thread.join()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "writer thread deadlocked"
     assert errors == []
-    return written
+    return accepted, refused
 
 
 class TestConcurrentWriters:
     def test_no_record_is_lost_or_reordered_across_reopen(self, tmp_path):
         store = DurableSequenceStore(tmp_path, MAX_SEQ_LEN, capacity=64,
                                      fsync_every=8)
-        written = run_writers(store)
+        written, refused = run_writers(store)
+        assert refused == []
         store.sync()
         scan = read_wal(tmp_path / "wal.jsonl")
         assert [record["seq"] for record in scan.records] == \
@@ -617,10 +626,12 @@ class TestConcurrentWriters:
         checkpointer = threading.Thread(target=checkpoint_loop)
         checkpointer.start()
         try:
-            written = run_writers(store)
+            written, refused = run_writers(store)
         finally:
             stop.set()
-            checkpointer.join()
+            checkpointer.join(timeout=60)
+        assert not checkpointer.is_alive(), "checkpoint thread deadlocked"
+        assert refused == []
         assert checkpoints == sorted(checkpoints)
         for user, events in written.items():
             assert store.history(user) == tuple(events[-MAX_SEQ_LEN:])
@@ -631,6 +642,28 @@ class TestConcurrentWriters:
         recovered = DurableSequenceStore(tmp_path, MAX_SEQ_LEN, capacity=64)
         assert recovered.snapshot() == expected
         recovered.close()
+
+    def test_append_faults_under_contention_fail_exactly_their_records(
+            self, tmp_path):
+        """Writers race through WriteAheadLog._lock into FaultInjector._lock:
+        exactly ``times`` records fail, every other one is logged in
+        per-user order."""
+        injector = FaultInjector(seed=0)
+        injector.arm("wal.append", kind="raise", after=20, times=7)
+        store = DurableSequenceStore(tmp_path, MAX_SEQ_LEN, capacity=64,
+                                     fsync_every=8, injector=injector)
+        accepted, refused = run_writers(store)
+        assert len(refused) == 7 == injector.fired("wal.append")
+        store.sync()
+        scan = read_wal(tmp_path / "wal.jsonl")
+        assert [record["seq"] for record in scan.records] == \
+            list(range(1, 4 * 60 - 7 + 1))
+        for user, events in accepted.items():
+            logged = [record["events"][0] for record in scan.records
+                      if record["user"] == user]
+            assert logged == events
+            assert store.history(user) == tuple(events[-MAX_SEQ_LEN:])
+        store.close()
 
 
 # --------------------------------------------------------------------------- #

@@ -646,7 +646,8 @@ class TestServeSummaryThreadSafety:
         for thread in pool:
             thread.start()
         for thread in pool:
-            thread.join()
+            thread.join(timeout=60)
+            assert not thread.is_alive(), "summary thread deadlocked"
         assert summary.lines == threads * per_thread
         assert summary.rows == threads * per_thread * 2
         assert summary.errors == threads * per_thread

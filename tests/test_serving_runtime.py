@@ -478,7 +478,8 @@ class TestUserSequenceStore:
         for thread in pool:
             thread.start()
         for thread in pool:
-            thread.join()
+            thread.join(timeout=60)
+            assert not thread.is_alive(), "store thread deadlocked"
         assert errors == []
         assert len(store) == 24
         for user_id, events in per_user_events.items():
