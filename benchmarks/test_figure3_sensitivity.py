@@ -10,7 +10,8 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import export_text, run_once
-from repro.experiments.figure3_sensitivity import QUICK_GRIDS, run_figure3
+from repro.experiments import EXPERIMENTS, run
+from repro.experiments.registry import QUICK_GRIDS
 
 
 @pytest.mark.parametrize("dataset,hyperparameter", [
@@ -22,18 +23,12 @@ from repro.experiments.figure3_sensitivity import QUICK_GRIDS, run_figure3
     ("beauty", "dropout"),
 ])
 def test_figure3_sensitivity(benchmark, scale, dataset, hyperparameter):
-    series_list = run_once(
-        benchmark, run_figure3,
-        datasets=(dataset,), hyperparameters=(hyperparameter,), scale=scale,
-    )
+    series_list = run_once(benchmark, run, "figure3", scale=scale,
+                           datasets=(dataset,), rows=(hyperparameter,))
     assert len(series_list) == 1
     series = series_list[0]
 
-    lines = [f"Figure 3 — {series.metric} on {dataset} vs. {hyperparameter}"]
-    for value, score in zip(series.values, series.scores):
-        lines.append(f"  {hyperparameter}={value}: {score:.4f}")
-    lines.append(f"  best {hyperparameter}: {series.best_value()}")
-    report = "\n".join(lines)
+    report = EXPERIMENTS["figure3"].render(series_list)
     print("\n" + report)
     export_text(f"figure3_{dataset}_{hyperparameter}", report)
 

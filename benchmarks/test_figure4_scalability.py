@@ -8,28 +8,16 @@ linearly with the data size — the scalability claim of Section VI-D.
 from __future__ import annotations
 
 from benchmarks.conftest import export_text, run_once
-from repro.experiments import reference
-from repro.experiments.figure4_scalability import run_figure4
+from repro.experiments import EXPERIMENTS, run
 
 
 def test_figure4_training_time_scales_linearly(benchmark, scale):
     # The scalability measurement needs enough work per point for wall-clock
     # noise to stay small relative to the trend, so it always runs at the
-    # "small" scale with two epochs per proportion regardless of the suite's
-    # default scale.
-    result = run_once(benchmark, run_figure4, dataset="trivago",
-                      proportions=(0.2, 0.4, 0.6, 0.8, 1.0), scale="small", epochs=2)
+    # "small" scale regardless of the suite's default scale.
+    result = run_once(benchmark, run, "figure4", scale="small")
 
-    lines = [
-        "Figure 4 — SeqFM training time vs. proportion of Trivago-like training data",
-        f"  {'proportion':>10s} {'examples':>9s} {'seconds':>9s}   paper (×10³ s)",
-    ]
-    for proportion, seconds, count in zip(result.proportions, result.train_seconds,
-                                          result.num_examples):
-        paper = reference.FIGURE4_SCALABILITY.get(proportion, float('nan'))
-        lines.append(f"  {proportion:10.1f} {count:9d} {seconds:9.2f}   {paper:.2f}")
-    lines.append(f"  linear-fit R^2 = {result.linear_r_squared:.4f}")
-    report = "\n".join(lines)
+    report = EXPERIMENTS["figure4"].render(result)
     print("\n" + report)
     export_text("figure4_scalability", report)
 

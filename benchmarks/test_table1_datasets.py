@@ -8,24 +8,20 @@ real datasets.
 from __future__ import annotations
 
 from benchmarks.conftest import export_text, run_once
-from repro.experiments import reference
-from repro.experiments.table1 import ALL_DATASETS, run_table1
+from repro.experiments import EXPERIMENTS, run
+from repro.experiments.registry import dataset_names
 
 
 def test_table1_dataset_statistics(benchmark, scale):
-    table = run_once(benchmark, run_table1, datasets=ALL_DATASETS, scale=scale)
+    table = run_once(benchmark, run, "table1", scale=scale)
 
-    lines = [str(table), "", "Paper (real datasets):"]
-    for name, stats in reference.TABLE1_DATASETS.items():
-        lines.append(f"  {name:12s} instances={stats['instances']:>9,} users={stats['users']:>7,} "
-                     f"objects={stats['objects']:>7,} features={stats['features']:>8,}")
-    report = "\n".join(lines)
+    report = EXPERIMENTS["table1"].render(table)
     print("\n" + report)
     export_text("table1_datasets", report)
 
     # Shape checks: all six datasets exist, are non-trivial, and the relative
     # ordering instances > users holds as in the paper.
-    assert set(table.rows) == set(ALL_DATASETS)
+    assert set(table.rows) == set(dataset_names())
     for dataset, row in table.rows.items():
         assert row["instances"] > row["users"] > 0
         assert row["features"] > row["objects"] > 0

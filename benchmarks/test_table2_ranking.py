@@ -10,20 +10,15 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import export_text, run_once
-from repro.experiments import reference
-from repro.experiments.reporting import compare_to_paper
-from repro.experiments.table2 import RANKING_MODELS, run_table2
+from repro.experiments import EXPERIMENTS, run
 
 
 @pytest.mark.parametrize("dataset", ["gowalla", "foursquare"])
 def test_table2_ranking(benchmark, scale, dataset):
-    tables = run_once(benchmark, run_table2, datasets=(dataset,), models=RANKING_MODELS, scale=scale)
+    tables = run_once(benchmark, run, "table2", scale=scale, datasets=(dataset,))
     table = tables[dataset]
 
-    report = "\n".join([
-        str(table), "",
-        compare_to_paper(table, reference.TABLE2_RANKING[dataset], columns=["HR@10", "NDCG@10"]),
-    ])
+    report = EXPERIMENTS["table2"].render(tables)
     print("\n" + report)
     export_text(f"table2_ranking_{dataset}", report)
 

@@ -9,21 +9,15 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import export_text, run_once
-from repro.experiments import reference
-from repro.experiments.reporting import compare_to_paper
-from repro.experiments.table3 import CLASSIFICATION_MODELS, run_table3
+from repro.experiments import EXPERIMENTS, run
 
 
 @pytest.mark.parametrize("dataset", ["trivago", "taobao"])
 def test_table3_classification(benchmark, scale, dataset):
-    tables = run_once(benchmark, run_table3, datasets=(dataset,),
-                      models=CLASSIFICATION_MODELS, scale=scale)
+    tables = run_once(benchmark, run, "table3", scale=scale, datasets=(dataset,))
     table = tables[dataset]
 
-    report = "\n".join([
-        str(table), "",
-        compare_to_paper(table, reference.TABLE3_CLASSIFICATION[dataset]),
-    ])
+    report = EXPERIMENTS["table3"].render(tables)
     print("\n" + report)
     export_text(f"table3_classification_{dataset}", report)
 

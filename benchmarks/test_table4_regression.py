@@ -10,21 +10,15 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import export_text, run_once
-from repro.experiments import reference
-from repro.experiments.reporting import compare_to_paper
-from repro.experiments.table4 import REGRESSION_MODELS, run_table4
+from repro.experiments import EXPERIMENTS, run
 
 
 @pytest.mark.parametrize("dataset", ["beauty", "toys"])
 def test_table4_regression(benchmark, scale, dataset):
-    tables = run_once(benchmark, run_table4, datasets=(dataset,),
-                      models=REGRESSION_MODELS, scale=scale)
+    tables = run_once(benchmark, run, "table4", scale=scale, datasets=(dataset,))
     table = tables[dataset]
 
-    report = "\n".join([
-        str(table), "",
-        compare_to_paper(table, reference.TABLE4_REGRESSION[dataset]),
-    ])
+    report = EXPERIMENTS["table4"].render(tables)
     print("\n" + report)
     export_text(f"table4_regression_{dataset}", report)
 

@@ -9,20 +9,13 @@ MAE).
 from __future__ import annotations
 
 from benchmarks.conftest import export_text, run_once
-from repro.experiments import reference
-from repro.experiments.table5_ablation import ABLATION_VARIANTS, run_table5
+from repro.experiments import EXPERIMENTS, run
 
 
 def test_table5_ablation(benchmark, scale):
-    datasets = ("gowalla", "trivago", "beauty")
-    table = run_once(benchmark, run_table5, datasets=datasets,
-                     variants=tuple(ABLATION_VARIANTS), scale=scale)
+    table = run_once(benchmark, run, "table5", scale=scale)
 
-    lines = [str(table), "", "Paper reference (HR@10 / AUC / MAE on the same datasets):"]
-    for variant, values in reference.TABLE5_ABLATION.items():
-        row = "  ".join(f"{dataset}={values[dataset]:.3f}" for dataset in datasets)
-        lines.append(f"  {variant:12s} {row}")
-    report = "\n".join(lines)
+    report = EXPERIMENTS["table5"].render(table)
     print("\n" + report)
     export_text("table5_ablation", report)
 

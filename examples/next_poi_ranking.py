@@ -15,23 +15,18 @@ Run with::
 
 from __future__ import annotations
 
-from repro.experiments import reference
-from repro.experiments.registry import build_context
-from repro.experiments.reporting import compare_to_paper
-from repro.experiments.table2 import RANKING_MODELS, run_table2
+from repro.experiments import EXPERIMENTS, build_context, run
 
 
 def main() -> None:
+    spec = EXPERIMENTS["table2"]
     context = build_context("gowalla", scale="quick")
     print(f"dataset: {context.log.name}  {context.log.statistics()}")
-    print(f"models: {', '.join(RANKING_MODELS)}\n")
+    print(f"models: {', '.join(spec.rows)}\n")
 
-    tables = run_table2(datasets=("gowalla",), scale="quick")
+    tables = run("table2", scale="quick", datasets=("gowalla",))
     table = tables["gowalla"]
-    print(table)
-    print()
-    print(compare_to_paper(table, reference.TABLE2_RANKING["gowalla"],
-                           columns=["HR@10", "NDCG@10"]))
+    print(spec.render(tables))
     print("\nExpected shape (paper, Table II): SeqFM first, sequence-aware baselines")
     print("(SASRec, TFM) ahead of the set-category FM family, plain FM last.")
     best = table.best_row("HR@10")

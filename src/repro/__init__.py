@@ -16,7 +16,7 @@ Subpackages
 ``repro.eval``
     HR/NDCG/AUC/RMSE/MAE/RRSE and the leave-one-out evaluation protocols.
 ``repro.experiments``
-    Runners that regenerate every table and figure of the paper.
+    The experiment registry that regenerates every table and figure of the paper.
 ``repro.serving``
     Batched inference runtime: graph-free engine, request micro-batcher,
     LRU-cached user-sequence store and the checkpoint-backed model registry.

@@ -17,7 +17,7 @@ from repro.data.split import leave_one_out_split, LeaveOneOutSplit, proportion_s
 from repro.data.features import FeatureEncoder, EncodedExample, FeatureBatch, pad_sequences
 from repro.data.sampling import NegativeSampler
 from repro.data.batching import BatchIterator
-from repro.data.datasets import DatasetSpec, DATASET_REGISTRY, load_dataset, dataset_statistics
+from repro.data.datasets import dataset_statistics
 from repro.data import synthetic
 
 __all__ = [
@@ -34,9 +34,6 @@ __all__ = [
     "NegativeSampler",
     "BatchIterator",
     "pad_sequences",
-    "DatasetSpec",
-    "DATASET_REGISTRY",
-    "load_dataset",
     "dataset_statistics",
     "synthetic",
 ]

@@ -1,98 +1,11 @@
-"""Dataset registry mapping the paper's six datasets to synthetic generators.
-
-``load_dataset("gowalla")`` returns a filtered, chronologically sorted
-interaction log whose structure mirrors the corresponding public dataset
-(see :mod:`repro.data.synthetic`), and :func:`dataset_statistics` reproduces
-the columns of Table I of the paper for any log.
-"""
+"""Table I statistics for an interaction log (the paper's six datasets are
+named in :mod:`repro.experiments.registry`)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Dict
 
-from repro.data import synthetic
 from repro.data.interactions import InteractionLog
-from repro.data.preprocess import chronological_sort, filter_by_activity
-
-
-@dataclass(frozen=True)
-class DatasetSpec:
-    """Metadata for one of the paper's evaluation datasets.
-
-    Attributes
-    ----------
-    name:
-        Registry key (lower-case, e.g. ``"gowalla"``).
-    task:
-        ``"ranking"``, ``"classification"`` or ``"regression"``.
-    generator:
-        Zero-argument callable returning the synthetic interaction log.
-    paper_instances / paper_users / paper_objects / paper_features:
-        The statistics reported in Table I of the paper for the real dataset,
-        kept for side-by-side reporting.
-    min_activity:
-        Activity threshold applied by the paper (10 for the four implicit
-        datasets; the Amazon ratings are used as provided).
-    """
-
-    name: str
-    task: str
-    generator: Callable[[], InteractionLog]
-    paper_instances: int
-    paper_users: int
-    paper_objects: int
-    paper_features: int
-    min_activity: int = 10
-
-
-DATASET_REGISTRY: Dict[str, DatasetSpec] = {
-    "gowalla": DatasetSpec(
-        name="gowalla", task="ranking", generator=synthetic.gowalla_like,
-        paper_instances=1_865_119, paper_users=34_796, paper_objects=57_445,
-        paper_features=149_686, min_activity=10,
-    ),
-    "foursquare": DatasetSpec(
-        name="foursquare", task="ranking", generator=synthetic.foursquare_like,
-        paper_instances=1_196_248, paper_users=24_941, paper_objects=28_593,
-        paper_features=82_127, min_activity=10,
-    ),
-    "trivago": DatasetSpec(
-        name="trivago", task="classification", generator=synthetic.trivago_like,
-        paper_instances=2_810_584, paper_users=12_790, paper_objects=45_195,
-        paper_features=103_180, min_activity=10,
-    ),
-    "taobao": DatasetSpec(
-        name="taobao", task="classification", generator=synthetic.taobao_like,
-        paper_instances=1_970_133, paper_users=37_398, paper_objects=65_474,
-        paper_features=168_346, min_activity=10,
-    ),
-    "beauty": DatasetSpec(
-        name="beauty", task="regression", generator=synthetic.beauty_like,
-        paper_instances=198_503, paper_users=22_363, paper_objects=12_101,
-        paper_features=46_565, min_activity=5,
-    ),
-    "toys": DatasetSpec(
-        name="toys", task="regression", generator=synthetic.toys_like,
-        paper_instances=167_597, paper_users=19_412, paper_objects=11_924,
-        paper_features=50_748, min_activity=5,
-    ),
-}
-
-
-def load_dataset(name: str) -> InteractionLog:
-    """Generate, filter and chronologically sort one of the registry datasets."""
-    key = name.lower()
-    if key not in DATASET_REGISTRY:
-        raise KeyError(f"unknown dataset {name!r}; known: {sorted(DATASET_REGISTRY)}")
-    spec = DATASET_REGISTRY[key]
-    log = spec.generator()
-    log = filter_by_activity(
-        log,
-        min_user_interactions=spec.min_activity,
-        min_object_interactions=min(spec.min_activity, 5),
-    )
-    return chronological_sort(log)
 
 
 def dataset_statistics(log: InteractionLog, max_seq_len: int = 20) -> Dict[str, int]:

@@ -1,39 +1,16 @@
-"""Experiment harness: one runner per table and figure of the paper.
+"""Experiment harness: one registry entry per table and figure of the paper.
 
-Each runner builds the datasets, trains SeqFM and the relevant baselines with
-the shared trainer, evaluates them with the paper's protocol and returns a
-:class:`~repro.experiments.reporting.ResultTable` that can be printed next to
-the paper's reported numbers.
+:data:`~repro.experiments.registry.EXPERIMENTS` maps each artefact name
+(``table1`` … ``figure4``) to an :class:`~repro.experiments.registry.ExperimentSpec`
+holding its default datasets, rows, metrics, the paper's numbers and its text
+rendering; :func:`~repro.experiments.registry.run` regenerates it at a
+``scale`` (``"quick"`` / ``"small"`` / ``"full"``)::
 
-Runners accept a ``scale`` argument (``"quick"`` / ``"small"`` / ``"full"``)
-controlling dataset size and training epochs so the same code serves fast CI
-benchmarks and longer, higher-fidelity runs.
+    result = run("table3", scale="quick")
+    print(EXPERIMENTS["table3"].render(result))
 """
 
-from repro.experiments.registry import ExperimentContext, build_context, SCALES
-from repro.experiments.reporting import ResultTable, format_table, compare_to_paper
+from repro.experiments.registry import EXPERIMENTS, ExperimentSpec, build_context, run
 from repro.experiments import reference
-from repro.experiments.table1 import run_table1
-from repro.experiments.table2 import run_table2
-from repro.experiments.table3 import run_table3
-from repro.experiments.table4 import run_table4
-from repro.experiments.table5_ablation import run_table5
-from repro.experiments.figure3_sensitivity import run_figure3
-from repro.experiments.figure4_scalability import run_figure4
 
-__all__ = [
-    "ExperimentContext",
-    "build_context",
-    "SCALES",
-    "ResultTable",
-    "format_table",
-    "compare_to_paper",
-    "reference",
-    "run_table1",
-    "run_table2",
-    "run_table3",
-    "run_table4",
-    "run_table5",
-    "run_figure3",
-    "run_figure4",
-]
+__all__ = ["EXPERIMENTS", "ExperimentSpec", "build_context", "reference", "run"]

@@ -1,14 +1,14 @@
 """Command-line interface for the experiment harness and the serving runtime.
 
-Regenerate any table or figure of the paper from the shell::
+Regenerate any table or figure of :data:`repro.experiments.registry.EXPERIMENTS`,
+printed as committed under ``results/``::
 
     python -m repro.experiments.cli table2 --scale quick
     python -m repro.experiments.cli table5 --datasets gowalla beauty
     python -m repro.experiments.cli figure4 --output results/figure4.json
     python -m repro.experiments.cli all --scale small --output-dir results/
 
-``--output`` / ``--output-dir`` export the regenerated tables as JSON via
-:mod:`repro.experiments.reporting` so runs can be archived and diffed.
+``--output`` / ``--output-dir`` also export the results as JSON.
 
 Train a model on any registered dataset and write a checkpoint the serving
 runtime loads directly (the train → serve loop)::
@@ -57,38 +57,26 @@ import argparse
 import json
 import sys
 import zipfile
+from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.experiments import (
-    reference,
-    run_figure3,
-    run_figure4,
-    run_table1,
-    run_table2,
-    run_table3,
-    run_table4,
-    run_table5,
+from repro.core.serialization import atomic_write_text, load_seqfm, save_seqfm
+from repro.experiments.registry import (
+    EXPERIMENTS,
+    SCALES,
+    build_context,
+    build_model,
+    dataset_names,
+    experiment_datasets,
+    run,
+    train_model,
 )
-from repro.experiments.reporting import ResultTable, compare_to_paper, save_result_table
-
-EXPERIMENTS = ("table1", "table2", "table3", "table4", "table5", "figure3", "figure4")
+from repro.experiments.reporting import ResultTable, save_result_table
 
 #: Serving subcommands, dispatched before the experiment parser (they take a
 #: different option set than the table/figure runners).
 SERVING_COMMANDS = ("serve", "predict-batch", "rank-topk", "recommend")
-
-#: Training subcommand, likewise dispatched before the experiment parser.
-TRAIN_COMMAND = "train"
-
-#: Offline index build subcommand (two-stage retrieval).
-BUILD_INDEX_COMMAND = "build-index"
-
-#: Offline durability inspection subcommand (snapshot + WAL state on disk).
-STATUS_COMMAND = "status"
-
-#: Online-learning subcommand: one incremental, eval-gated retrain cycle.
-RETRAIN_COMMAND = "retrain"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,11 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
                "'build-index', 'status' and 'retrain' — run e.g. "
                "'python -m repro.experiments.cli train --help'.",
     )
-    parser.add_argument("experiment", choices=EXPERIMENTS + ("all",),
+    parser.add_argument("experiment", choices=tuple(EXPERIMENTS) + ("all",),
                         help="which artefact to regenerate")
-    parser.add_argument("--scale", default="quick", choices=("quick", "small", "full"),
+    parser.add_argument("--scale", default="quick", choices=tuple(SCALES),
                         help="dataset / training size (default: quick)")
-    parser.add_argument("--datasets", nargs="*", default=None,
+    parser.add_argument("--datasets", nargs="*", default=None, choices=dataset_names(),
                         help="restrict to specific datasets (defaults to the paper's choice)")
     parser.add_argument("--seed", type=int, default=0, help="training seed")
     parser.add_argument("--output", type=Path, default=None,
@@ -114,103 +102,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_tables(tables: Dict[str, ResultTable], paper: Dict[str, dict]) -> None:
-    for dataset, table in tables.items():
-        print(table)
-        if dataset in paper:
-            print()
-            print(compare_to_paper(table, paper[dataset]))
-        print()
-
-
-def _export(table: ResultTable, path: Path) -> None:
-    save_result_table(table, path)
+def _export(result: object, path: Path) -> None:
+    """Write ``result`` as JSON; a per-dataset dict of tables gets one file per dataset."""
+    if isinstance(result, dict):
+        for dataset, table in result.items():
+            _export(table, path.with_name(f"{path.stem}_{dataset}{path.suffix or '.json'}"))
+        return
+    if isinstance(result, ResultTable):
+        save_result_table(result, path)
+    else:  # Figure 3 (a list of series) or Figure 4
+        payload = ([dict(asdict(series), values=[str(v) for v in series.values])
+                    for series in result] if isinstance(result, list) else asdict(result))
+        atomic_write_text(path, json.dumps(payload, indent=2))
     print(f"wrote {path}")
 
 
 def run_experiment(name: str, scale: str, datasets: Optional[List[str]], seed: int,
                    output: Optional[Path] = None) -> None:
-    """Run one experiment, print its result and optionally export it."""
-    if name == "table1":
-        table = run_table1(datasets=tuple(datasets) if datasets else
-                           ("gowalla", "foursquare", "trivago", "taobao", "beauty", "toys"),
-                           scale=scale)
-        print(table)
-        if output:
-            _export(table, output)
-        return
-
-    if name in ("table2", "table3", "table4"):
-        runner = {"table2": run_table2, "table3": run_table3, "table4": run_table4}[name]
-        paper = {"table2": reference.TABLE2_RANKING,
-                 "table3": reference.TABLE3_CLASSIFICATION,
-                 "table4": reference.TABLE4_REGRESSION}[name]
-        kwargs = {"scale": scale, "seed": seed}
-        if datasets:
-            kwargs["datasets"] = tuple(datasets)
-        tables = runner(**kwargs)
-        _print_tables(tables, paper)
-        if output:
-            for dataset, table in tables.items():
-                _export(table, output.with_name(f"{output.stem}_{dataset}{output.suffix or '.json'}"))
-        return
-
-    if name == "table5":
-        kwargs = {"scale": scale, "seed": seed}
-        if datasets:
-            kwargs["datasets"] = tuple(datasets)
-        table = run_table5(**kwargs)
-        print(table)
-        if output:
-            _export(table, output)
-        return
-
-    if name == "figure3":
-        kwargs = {"scale": scale, "seed": seed}
-        if datasets:
-            kwargs["datasets"] = tuple(datasets)
-        series_list = run_figure3(**kwargs)
-        payload = []
-        for series in series_list:
-            print(f"{series.dataset} [{series.metric}] vs {series.hyperparameter}: "
-                  f"{series.as_dict()}  best={series.best_value()}")
-            payload.append({
-                "dataset": series.dataset, "task": series.task,
-                "hyperparameter": series.hyperparameter, "metric": series.metric,
-                "values": [str(v) for v in series.values], "scores": series.scores,
-            })
-        if output:
-            output.parent.mkdir(parents=True, exist_ok=True)
-            output.write_text(json.dumps(payload, indent=2))
-            print(f"wrote {output}")
-        return
-
-    if name == "figure4":
-        result = run_figure4(scale=scale, seed=seed)
-        print(f"Figure 4 — training time on {result.dataset}")
-        for proportion, seconds, count in zip(result.proportions, result.train_seconds,
-                                              result.num_examples):
-            print(f"  proportion={proportion:.1f}  examples={count:5d}  time={seconds:7.2f}s")
-        print(f"  linear fit R^2 = {result.linear_r_squared:.4f}")
-        if output:
-            output.parent.mkdir(parents=True, exist_ok=True)
-            output.write_text(json.dumps({
-                "dataset": result.dataset,
-                "proportions": result.proportions,
-                "train_seconds": result.train_seconds,
-                "num_examples": result.num_examples,
-                "linear_r_squared": result.linear_r_squared,
-            }, indent=2))
-            print(f"wrote {output}")
-        return
-
-    raise ValueError(f"unknown experiment {name!r}")
+    """Run one experiment, print its rendered report and optionally export it."""
+    result = run(name, scale=scale, datasets=datasets, seed=seed)
+    print(EXPERIMENTS[name].render(result))
+    if output:
+        _export(result, output)
 
 
 def build_train_parser() -> argparse.ArgumentParser:
     """Parser for the ``train`` subcommand."""
-    from repro.experiments.registry import SCALES, dataset_names
-
     parser = argparse.ArgumentParser(
         prog="repro-experiments train",
         description="Train SeqFM on a registered dataset and write a serving checkpoint.",
@@ -238,9 +155,6 @@ def build_train_parser() -> argparse.ArgumentParser:
 
 def run_train(argv: List[str]) -> int:
     """Train on a registered dataset, report progress, write the checkpoint."""
-    from repro.core.serialization import save_seqfm
-    from repro.experiments.registry import build_context
-
     args = build_train_parser().parse_args(argv)
     context = build_context(args.dataset, scale=args.scale)
     print(f"dataset={context.dataset} task={context.task} scale={args.scale} "
@@ -254,8 +168,6 @@ def run_train(argv: List[str]) -> int:
         if value is not None:
             overrides[name] = value
     trainer_config = context.trainer_config(**overrides)
-
-    from repro.experiments.runners import build_model, train_model
 
     task_model = build_model(context, "SeqFM", seed=args.seed)
     result = train_model(context, task_model, trainer_config)
@@ -533,7 +445,6 @@ def build_index_parser() -> argparse.ArgumentParser:
 
 def run_build_index(argv: List[str]) -> int:
     """Build and save an item index from a checkpoint; returns an exit code."""
-    from repro.core.serialization import load_seqfm
     from repro.retrieval import ItemIndex
 
     args = build_index_parser().parse_args(argv)
@@ -633,8 +544,6 @@ def run_status(argv: List[str]) -> int:
 
 def build_retrain_parser() -> argparse.ArgumentParser:
     """Parser for the ``retrain`` subcommand."""
-    from repro.experiments.registry import SCALES, dataset_names
-
     parser = argparse.ArgumentParser(
         prog="repro-experiments retrain",
         description="Incrementally retrain a served checkpoint off its "
@@ -696,7 +605,6 @@ def build_retrain_parser() -> argparse.ArgumentParser:
 
 def run_retrain(argv: List[str]) -> int:
     """Run one eval-gated incremental retrain cycle; returns an exit code."""
-    from repro.experiments.registry import build_context
     from repro.online import (
         GateConfig,
         IncrementalTrainerConfig,
@@ -799,27 +707,34 @@ def run_retrain(argv: List[str]) -> int:
     return 2 if report.status == "rejected" else 0
 
 
+#: Training, offline index build, offline durability inspection (snapshot +
+#: WAL on disk) and one eval-gated online retrain cycle; like the serving
+#: subcommands, each is dispatched before the experiment parser.
+SUBCOMMANDS = {"train": run_train, "build-index": run_build_index,
+               "status": run_status, "retrain": run_retrain}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == TRAIN_COMMAND:
-        return run_train(argv[1:])
-    if argv and argv[0] == BUILD_INDEX_COMMAND:
-        return run_build_index(argv[1:])
-    if argv and argv[0] == STATUS_COMMAND:
-        return run_status(argv[1:])
-    if argv and argv[0] == RETRAIN_COMMAND:
-        return run_retrain(argv[1:])
+    if argv and argv[0] in SUBCOMMANDS:
+        return SUBCOMMANDS[argv[0]](argv[1:])
     if argv and argv[0] in SERVING_COMMANDS:
         return run_serving(argv[0], argv[1:])
-    args = build_parser().parse_args(argv)
-    if args.experiment == "all":
-        output_dir = args.output_dir
-        for name in EXPERIMENTS:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    every = args.experiment == "all"
+    names = tuple(EXPERIMENTS) if every else (args.experiment,)
+    try:  # checked before anything runs, so 'all' cannot fail late
+        for name in names:
+            experiment_datasets(name, args.datasets)
+    except ValueError as error:
+        parser.error(str(error))
+    for name in names:
+        output = args.output
+        if every:
             print(f"\n===== {name} =====")
-            output = (output_dir / f"{name}.json") if output_dir else None
-            run_experiment(name, args.scale, args.datasets, args.seed, output)
-        return 0
-    run_experiment(args.experiment, args.scale, args.datasets, args.seed, args.output)
+            output = args.output_dir / f"{name}.json" if args.output_dir else None
+        run_experiment(name, args.scale, args.datasets, args.seed, output)
     return 0
 
 

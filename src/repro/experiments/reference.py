@@ -8,9 +8,7 @@ datasets and are not expected to match them.
 
 from __future__ import annotations
 
-# --------------------------------------------------------------------------- #
 # Table II — ranking (HR@K / NDCG@K for K = 5, 10, 20)
-# --------------------------------------------------------------------------- #
 TABLE2_RANKING = {
     "gowalla": {
         "FM": {"HR@5": 0.232, "HR@10": 0.318, "HR@20": 0.419,
@@ -50,9 +48,7 @@ TABLE2_RANKING = {
     },
 }
 
-# --------------------------------------------------------------------------- #
 # Table III — classification (AUC / RMSE)
-# --------------------------------------------------------------------------- #
 TABLE3_CLASSIFICATION = {
     "trivago": {
         "FM": {"AUC": 0.729, "RMSE": 0.564},
@@ -76,9 +72,7 @@ TABLE3_CLASSIFICATION = {
     },
 }
 
-# --------------------------------------------------------------------------- #
 # Table IV — regression (MAE / RRSE)
-# --------------------------------------------------------------------------- #
 TABLE4_REGRESSION = {
     "beauty": {
         "FM": {"MAE": 1.067, "RRSE": 1.125},
@@ -102,9 +96,7 @@ TABLE4_REGRESSION = {
     },
 }
 
-# --------------------------------------------------------------------------- #
 # Table V — ablation (HR@10 for ranking, AUC for classification, MAE for regression)
-# --------------------------------------------------------------------------- #
 TABLE5_ABLATION = {
     "Default": {"gowalla": 0.467, "foursquare": 0.431, "trivago": 0.957,
                 "taobao": 0.826, "beauty": 0.890, "toys": 0.704},
@@ -120,9 +112,7 @@ TABLE5_ABLATION = {
                   "taobao": 0.798, "beauty": 0.922, "toys": 0.720},
 }
 
-# --------------------------------------------------------------------------- #
 # Table I — dataset statistics
-# --------------------------------------------------------------------------- #
 TABLE1_DATASETS = {
     "gowalla": {"task": "ranking", "instances": 1_865_119, "users": 34_796,
                 "objects": 57_445, "features": 149_686},

@@ -50,9 +50,6 @@ class ResultTable:
         chooser = max if maximise else min
         return chooser(self.rows, key=lambda name: self.rows[name][column])
 
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        return {name: dict(values) for name, values in self.rows.items()}
-
     def __str__(self) -> str:
         return format_table(self)
 
@@ -62,7 +59,7 @@ def save_result_table(table: ResultTable, path: PathLike) -> None:
     payload = {
         "title": table.title,
         "columns": list(table.columns),
-        "rows": table.as_dict(),
+        "rows": {name: dict(values) for name, values in table.rows.items()},
         "metadata": _jsonable(table.metadata),
     }
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True))

@@ -1,9 +1,8 @@
 """Tests for the experiments command-line interface.
 
-The CLI runners are exercised on the cheapest artefacts (Table I, Figure 4
-with a reduced proportion list is too slow for unit tests, so only its parser
-wiring is checked); the full experiment execution paths are covered by the
-benchmark suite.
+The CLI runners are exercised on the cheapest artefact (Table I) and on
+Figure 4 with training stubbed out; the full experiment execution paths are
+covered by the benchmark suite.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from repro.experiments.cli import (
     main,
     run_experiment,
 )
+from repro.experiments.registry import run
 
 
 class TestParser:
@@ -63,13 +63,65 @@ class TestExecution:
         assert payload["columns"] == ["instances", "users", "objects", "features"]
 
     def test_unknown_experiment_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(KeyError):
             run_experiment("table9", scale="quick", datasets=None, seed=0)
 
     def test_main_entry_point_table1(self, capsys):
         exit_code = main(["table1", "--datasets", "beauty"])
         assert exit_code == 0
-        assert "Table I" in capsys.readouterr().out
+        rendered = EXPERIMENTS["table1"].render(run("table1", datasets=["beauty"]))
+        assert capsys.readouterr().out == rendered + "\n"
+
+    def test_unknown_dataset_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["table1", "--datasets", "netflix"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'netflix'" in err
+        assert "beauty" in err and "toys" in err
+
+    @pytest.mark.parametrize("experiment", ["figure4", "all"])
+    def test_figure4_rejects_several_datasets(self, capsys, experiment):
+        with pytest.raises(SystemExit) as info:
+            main([experiment, "--datasets", "beauty", "toys"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert "figure4 runs on one dataset" in captured.err
+        assert captured.out == ""
+
+    def test_figure4_honours_dataset(self, capsys, monkeypatch):
+        from repro.core.trainer import Trainer, TrainingResult
+
+        monkeypatch.setattr(Trainer, "fit", lambda trainer, examples, validation_callback=None:
+                            TrainingResult(train_seconds=float(len(examples))))
+        assert main(["figure4", "--datasets", "beauty"]) == 0
+        assert "proportion of Beauty-like training data" in capsys.readouterr().out
+
+    def test_json_exports_keep_their_shape(self, tmp_path, monkeypatch, capsys):
+        from repro.experiments import cli
+        from repro.experiments.registry import ScalabilityResult, SensitivitySeries
+        from repro.experiments.reporting import ResultTable
+
+        table = ResultTable(title="t", columns=["HR@10", "NDCG@10"])
+        table.add_row("SeqFM", {"HR@10": 0.5, "NDCG@10": 0.25})
+        results = {
+            "table2": {"gowalla": table},
+            "figure3": [SensitivitySeries("gowalla", "ranking", "dropout", "HR@10",
+                                          [0.2, 0.5], [0.7, 0.6])],
+            "figure4": ScalabilityResult("trivago", [0.5, 1.0], [1.0, 2.0], [10, 20], 1.0),
+        }
+        monkeypatch.setattr(cli, "run", lambda name, **kwargs: results[name])
+        for name in results:
+            run_experiment(name, "quick", None, 0, output=tmp_path / f"{name}.json")
+        capsys.readouterr()
+        assert json.loads((tmp_path / "table2_gowalla.json").read_text())["rows"] == {
+            "SeqFM": {"HR@10": 0.5, "NDCG@10": 0.25}}
+        assert json.loads((tmp_path / "figure3.json").read_text()) == [{
+            "dataset": "gowalla", "task": "ranking", "hyperparameter": "dropout",
+            "metric": "HR@10", "values": ["0.2", "0.5"], "scores": [0.7, 0.6]}]
+        assert json.loads((tmp_path / "figure4.json").read_text()) == {
+            "dataset": "trivago", "proportions": [0.5, 1.0], "train_seconds": [1.0, 2.0],
+            "num_examples": [10, 20], "linear_r_squared": 1.0}
 
 
 class TestServingCommands:

@@ -3,13 +3,16 @@ negative sampler."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.data import synthetic
-from repro.data.datasets import DATASET_REGISTRY, dataset_statistics, load_dataset
+from repro.data.datasets import dataset_statistics
 from repro.data.sampling import NegativeSampler
 from repro.data.synthetic import SyntheticConfig
+from repro.experiments.registry import build_context, dataset_names
 
 
 class TestSyntheticGenerators:
@@ -103,17 +106,23 @@ class TestSyntheticGenerators:
 
 class TestDatasetRegistry:
     def test_registry_contains_the_six_paper_datasets(self):
-        assert set(DATASET_REGISTRY) == {"gowalla", "foursquare", "trivago", "taobao", "beauty", "toys"}
+        assert set(dataset_names()) == {"gowalla", "foursquare", "trivago", "taobao", "beauty", "toys"}
 
-    def test_load_dataset_filters_and_sorts(self):
-        log = load_dataset("beauty")
+    def test_build_context_filters_and_sorts(self):
+        log = build_context("beauty").log
         timestamps = [event.timestamp for event in log]
         assert timestamps == sorted(timestamps)
         assert len(log) > 0
+        # The regression datasets keep users with at least five events and
+        # objects touched by at least three users.
+        assert min(Counter(event.user_id for event in log).values()) >= 5
+        object_users = Counter(object_id for object_id, _ in
+                               {(event.object_id, event.user_id) for event in log})
+        assert min(object_users.values()) >= 3
 
-    def test_load_dataset_unknown_name(self):
+    def test_build_context_unknown_name(self):
         with pytest.raises(KeyError):
-            load_dataset("netflix")
+            build_context("netflix")
 
     def test_dataset_statistics_columns(self, tiny_log):
         stats = dataset_statistics(tiny_log)
@@ -121,7 +130,7 @@ class TestDatasetRegistry:
         assert stats["features"] == stats["users"] + 2 * stats["objects"] + 1
 
     def test_tasks_cover_three_settings(self):
-        tasks = {spec.task for spec in DATASET_REGISTRY.values()}
+        tasks = {build_context(name).task for name in dataset_names()}
         assert tasks == {"ranking", "classification", "regression"}
 
 

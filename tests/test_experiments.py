@@ -5,12 +5,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import reference
-from repro.experiments.figure4_scalability import ScalabilityResult
-from repro.experiments.registry import SCALES, build_context
+from repro.core.trainer import Trainer, TrainingResult
+from repro.experiments import EXPERIMENTS, reference, registry, run
+from repro.experiments.registry import (
+    ABLATION_VARIANTS,
+    HEADLINE_METRIC,
+    SCALES,
+    ScalabilityResult,
+    build_context,
+    build_model,
+    dataset_names,
+    evaluate_model,
+    train_and_evaluate,
+)
 from repro.experiments.reporting import ResultTable, compare_to_paper, format_table, relative_improvement
-from repro.experiments.runners import build_model, evaluate_model, train_and_evaluate
-from repro.experiments.table5_ablation import ABLATION_METRIC, ABLATION_VARIANTS
 
 
 class TestRegistry:
@@ -149,6 +157,18 @@ class TestRunners:
         metrics = train_and_evaluate(quick_context, "FM", trainer_config=config, max_users=5)
         assert metrics["train_seconds"] > 0
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_train_and_evaluate_seeds_the_trainer(self, quick_context, monkeypatch, seed):
+        seen = []
+
+        def fake_train(context, task_model, trainer_config=None, examples=None):
+            seen.append(trainer_config.seed)
+            return TrainingResult()
+
+        monkeypatch.setattr(registry, "train_model", fake_train)
+        train_and_evaluate(quick_context, "FM", seed=seed, max_users=2)
+        assert seen == [seed]
+
 
 class TestAblationAndScalabilityHelpers:
     def test_ablation_variants_cover_paper_rows(self):
@@ -156,7 +176,7 @@ class TestAblationAndScalabilityHelpers:
         assert paper_rows <= set(ABLATION_VARIANTS)
 
     def test_ablation_metric_per_task(self):
-        assert ABLATION_METRIC == {"ranking": "HR@10", "classification": "AUC", "regression": "MAE"}
+        assert HEADLINE_METRIC == {"ranking": "HR@10", "classification": "AUC", "regression": "MAE"}
 
     def test_scalability_linear_fit(self):
         result = ScalabilityResult(dataset="demo",
@@ -171,3 +191,58 @@ class TestAblationAndScalabilityHelpers:
                                    train_seconds=[1.0, 1.0], num_examples=[5, 10])
         result.fit_line()
         assert result.linear_r_squared == 1.0
+
+
+class TestExperimentRegistry:
+    @pytest.fixture
+    def fitted(self, monkeypatch):
+        """Replace training with a recorder of (trainer seed, examples) per fit."""
+        calls = []
+
+        def fake_fit(trainer, examples, validation_callback=None):
+            calls.append((trainer.config.seed, list(examples)))
+            return TrainingResult(train_seconds=float(len(examples)))
+
+        monkeypatch.setattr(Trainer, "fit", fake_fit)
+        return calls
+
+    def test_registry_names_the_seven_artefacts(self):
+        assert list(EXPERIMENTS) == ["table1", "table2", "table3", "table4",
+                                     "table5", "figure3", "figure4"]
+
+    def test_default_datasets_are_registered(self):
+        assert set(EXPERIMENTS["table1"].datasets) == set(dataset_names())
+        for spec in EXPERIMENTS.values():
+            assert set(spec.datasets) <= set(dataset_names())
+
+    def test_unknown_experiment(self):
+        with pytest.raises(KeyError):
+            run("table9")
+
+    def test_figure4_rejects_several_datasets(self, fitted):
+        with pytest.raises(ValueError, match="one dataset"):
+            run("figure4", datasets=["trivago", "beauty"])
+        assert fitted == []
+
+    def test_table1_render_lists_run_and_paper_datasets(self):
+        text = EXPERIMENTS["table1"].render(run("table1", datasets=["beauty"]))
+        lines = text.splitlines()
+        assert lines[0] == "Table I — dataset statistics (synthetic, scale=quick)"
+        assert lines[4].split()[0] == "beauty"
+        assert "Paper (real datasets):" in lines
+        assert sum(line.startswith("  ") for line in lines) == len(reference.TABLE1_DATASETS)
+
+    def test_figure4_subsets_carry_regression_ratings(self, fitted):
+        result = run("figure4", datasets=["beauty"])
+        context = build_context("beauty")
+        assert result.dataset == "beauty"
+        assert len(fitted) == len(EXPERIMENTS["figure4"].rows)
+        # The full-data point trains on exactly the context's examples,
+        # ratings included (not a constant label of 1.0).
+        full = fitted[-1][1]
+        assert [e.label for e in full] == [e.label for e in context.train_examples]
+        assert len({e.label for e in fitted[0][1]}) > 1
+
+    def test_figure4_seeds_every_trainer(self, fitted):
+        run("figure4", seed=5)
+        assert [seed for seed, _ in fitted] == [5] * len(EXPERIMENTS["figure4"].rows)
