@@ -144,8 +144,8 @@ class SeqFM(Module):
         back out to all rows; gradients scatter-add through the gather, which
         is exactly the sum the tiled computation would produce.  The static
         and cross views depend on the candidate and run on every row, but the
-        cross view projects each group's history once and gathers its Q/K/V
-        rows out, instead of projecting the gathered copies.
+        cross view attends each group's history once, as one GEMM against all
+        of its candidates' static rows — no per-row copy of the history.
         """
         rows = batch.static_indices.shape[0]
         tile = getattr(batch, "dynamic_tile", 1) or 1
@@ -165,9 +165,7 @@ class SeqFM(Module):
                  tile_map is not None)
             )
         if self.cross_view is not None:
-            crossed = self.cross_view(
-                static_embedded, dynamic_embedded, batch.dynamic_mask[:base], tile_map
-            )
+            crossed = self.cross_view(static_embedded, dynamic_embedded, batch.dynamic_mask[:base])
             pooled_views.append((crossed, False))
 
         refined: List[Tensor] = []

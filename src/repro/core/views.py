@@ -127,22 +127,19 @@ class CrossView(Module):
         static_embeddings: Tensor,
         dynamic_embeddings: Tensor,
         valid_mask: np.ndarray,
-        history_rows: Optional[np.ndarray] = None,
     ) -> Tensor:
-        """``static_embeddings``: (batch, n_static, d) → pooled (batch, d).
-
-        ``history_rows`` (batch,) names each row's history among the
-        ``dynamic_embeddings`` (groups, n_dyn, d) of a candidate-fused batch:
-        every history is projected once and its Q/K/V rows gathered out.
+        """``static_embeddings`` (rows, n_static, d) → pooled (rows, d).  Row
+        ``c·groups + g`` (the draw-major layout of ``with_candidates``) has the
+        history ``dynamic_embeddings[g]`` (groups, n_dyn, d), so each history
+        is projected and attended once for its candidates; untiled, groups = rows.
         """
-        history = self.attention.project(dynamic_embeddings)
-        if history_rows is not None:
-            history = [projected.gather_rows(history_rows) for projected in history]
-            valid_mask = valid_mask[history_rows]
-        num_static = static_embeddings.shape[-2]
-        return F.pooled_cross_attention(
-            self.attention.project(static_embeddings),
-            history,
-            mean_pool_weights(cross_valid_mask(num_static, valid_mask)),
-            cross_static_mask(num_static, valid_mask),
-        )
+        groups = dynamic_embeddings.shape[0]
+        num_static, dim = static_embeddings.shape[-2:]
+        candidates = static_embeddings.reshape(-1, groups, num_static, dim).swapaxes(0, 1)
+        pooled = F.pooled_cross_attention(
+            self.attention.project(candidates),
+            self.attention.project(dynamic_embeddings),
+            mean_pool_weights(cross_valid_mask(num_static, valid_mask))[:, None],
+            cross_static_mask(num_static, valid_mask)[:, None],
+        )  # (groups, tile, d)
+        return pooled.swapaxes(0, 1).reshape(-1, dim)

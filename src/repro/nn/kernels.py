@@ -6,12 +6,13 @@ Inference does not need any of that bookkeeping, so the serving engine
 (:mod:`repro.serving.engine`) evaluates the model with the plain-array kernels
 in this module instead.  Each kernel mirrors its autograd counterpart
 *operation for operation* — same order, same constants, same numerical tricks
-— so a graph-free forward pass is bitwise identical to
-``SeqFM.score``/``Tensor``-based evaluation, not merely close.
+— so a graph-free forward pass agrees with ``SeqFM.score`` to rounding, not
+bitwise: two call sites may batch rows differently, and BLAS sums accordingly.
 
 Keep the two in lock-step: any change to the math in
-:mod:`repro.autograd.functional` must be reflected here (the parity tests in
-``tests/test_serving_engine.py`` enforce agreement to 1e-10).
+:mod:`repro.autograd.functional` must be reflected here.  The tests enforce
+engine ≡ ``SeqFM.score`` to 1e-10 (``tests/test_serving_engine.py``) and kernel
+≡ twin ≡ dense reference to 1e-12 (``tests/test_pooled_attention.py``).
 
 The SeqFM views run on :func:`pooled_attention` (static, dynamic) and
 :func:`pooled_cross_attention` (cross).  The dense attend-then-pool kernels
@@ -121,6 +122,12 @@ def pooled_attention(
     return ((row_weights[..., None, :] @ weights) @ values)[..., 0, :]
 
 
+def _group_rows(x: np.ndarray, lead: Tuple[int, ...]) -> np.ndarray:
+    """``x`` as ``lead + (rows, x.shape[-1])`` — a group's candidates stacked into
+    one GEMM's rows, or split back; an ``x`` of that rank (per-row) as is."""
+    return x if x.ndim == len(lead) + 2 else x.reshape(lead + (-1, x.shape[-1]))
+
+
 def pooled_cross_attention(
     static_qkv: Tuple[np.ndarray, np.ndarray, np.ndarray],
     history_qkv: Tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -140,25 +147,32 @@ def pooled_cross_attention(
       history-key columns are always blocked and a static key is always
       valid, so those weights are exactly 0 in the dense form.
 
-    ``history_qkv`` is per row or one shared ``(n˙, d)`` history broadcast
-    over the leading axes of ``static_qkv`` (ranked candidates, fused-batch
-    groups); ``row_weights`` pools the ``T`` rows.  The history block's scores
-    stay key-major, ``(..., n°, n˙)``.  Mirrors
-    :func:`repro.autograd.functional.pooled_cross_attention`.
+    One grouped shape rule: static ``(..., C, n°, d)`` against history
+    ``(..., n˙, d)``, whose leading axes are the groups; a group's C·n° static
+    rows are the rows of **one** GEMM against its history (static-query
+    scores, history-query scores, value product) → ``(..., C, d)``.  Ranking
+    is ``(C, n°, d)`` against ``(n˙, d)``; per-row is C = 1 without the C
+    axis.  ``row_weights`` (``(..., T)``) and ``static_mask`` broadcast over
+    the static rows; history-block scores stay key-major, ``(..., n°, n˙)``.
+    Mirrors :func:`repro.autograd.functional.pooled_cross_attention`.
     """
     q_static, k_static, v_static = static_qkv
     q_history, k_history, v_history = history_qkv
+    groups, candidates = k_history.shape[:-2], q_static.shape[:-2]
     num_static = q_static.shape[-2]
     scale = 1.0 / np.sqrt(q_static.shape[-1])
+    on_history = _group_rows(q_static, groups) @ k_history.swapaxes(-1, -2)
     scores = np.concatenate(
-        [q_static @ np.swapaxes(k_static, -1, -2),
-         q_static @ np.swapaxes(k_history, -1, -2)], axis=-1,
+        [q_static @ k_static.swapaxes(-1, -2),
+         _group_rows(on_history, candidates)], axis=-1,
     ) * scale + static_mask
     from_static = row_weights[..., None, :num_static] @ softmax(scores)  # (..., 1, T)
-    weights = softmax(k_static @ np.swapaxes(q_history, -1, -2) * scale, axis=-2)
+    on_static_keys = _group_rows(k_static, groups) @ q_history.swapaxes(-1, -2)
+    weights = softmax(_group_rows(on_static_keys, candidates) * scale, axis=-2)
     from_history = weights @ row_weights[..., num_static:, None]  # (..., n°, 1)
-    on_static = from_static[..., :num_static] + np.swapaxes(from_history, -1, -2)
-    return (on_static @ v_static + from_static[..., num_static:] @ v_history)[..., 0, :]
+    on_static = from_static[..., :num_static] + from_history.swapaxes(-1, -2)
+    history_values = _group_rows(from_static[..., num_static:], groups) @ v_history
+    return (on_static @ v_static + _group_rows(history_values, candidates))[..., 0, :]
 
 
 def top_k(

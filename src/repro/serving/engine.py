@@ -7,10 +7,10 @@ backward closure, even under ``no_grad``.  Serving never needs gradients, so
 paper — directly on the model's parameter arrays with the pure-NumPy kernels
 in :mod:`repro.nn.kernels` and the mask builders in :mod:`repro.core.views`.
 Nothing is duplicated: every view is one pooled-attention kernel call, the
-same for per-row histories (``score``) and one user's history broadcast over
-candidates (``rank_candidates``), so engine output is identical to
-:meth:`repro.core.model.SeqFM.score` to machine precision (the test suite
-asserts 1e-10).
+same for per-row histories (``score``) and one user's history shared by C
+candidates (``rank_candidates``), so engine output matches
+:meth:`repro.core.model.SeqFM.score` to rounding (the test suite asserts
+1e-10).
 
 The engine reads parameters *by reference*: when a registry hot-reloads a
 checkpoint into the same model object via ``load_state_dict``, the engine
@@ -49,9 +49,9 @@ class RankingPlan:
     * the padded history encoding and its dynamic linear-term sum;
     * the dynamic view evaluated end to end (attention + pooling + FFN) —
       the n˙²-cost block of the model;
-    * the cross-view Q/K/V projections of the history rows, which
-      :func:`repro.nn.kernels.pooled_cross_attention` broadcasts over the
-      candidates (there is no history↔history block: the cross mask blocks it).
+    * the cross-view Q/K/V projections of the history rows, each one GEMM
+      against all C candidates' static rows in
+      :func:`repro.nn.kernels.pooled_cross_attention` (no history↔history block).
 
     A plan snapshots projections of the *current* weights; after a registry
     hot-reload build a fresh plan (``rank_candidates`` without an explicit
@@ -238,7 +238,7 @@ class InferenceEngine:
         :meth:`score` with the candidate slot swapped per row, but every
         candidate-independent quantity — the dynamic view, the dynamic linear
         sum, the cross-view history projections — is computed once via
-        :class:`RankingPlan` and broadcast, leaving only the per-candidate
+        :class:`RankingPlan` and shared, leaving only the per-candidate
         static work: the static-view attention over n° rows and the
         cross-view projections and two score blocks of the candidate's
         static rows.
@@ -422,7 +422,7 @@ class InferenceEngine:
         valid_mask: np.ndarray,
     ) -> np.ndarray:
         """``history_qkv``/``valid_mask`` are per row (:meth:`score`) or one
-        user's ``(n, d)`` / ``(1, n)`` broadcast over candidates."""
+        user's ``(n, d)`` / ``(1, n)`` shared by the ``(C, n°, d)`` candidates."""
         num_static = static_embedded.shape[-2]
         return kernels.pooled_cross_attention(
             self._project(self._model.cross_view.attention, static_embedded),

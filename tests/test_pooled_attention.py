@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.autograd import Tensor, check_gradients
 from repro.autograd import functional as F
+from repro.core.config import SeqFMConfig
 from repro.core.tasks import SeqFMRanker
 from repro.core.views import (
     cross_attention_mask,
@@ -21,6 +22,8 @@ from repro.core.views import (
     dynamic_query_rows,
     mean_pool_weights,
 )
+from repro.data.features import FeatureBatch, FeatureEncoder
+from repro.data.split import leave_one_out_split
 from repro.nn import kernels
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -89,6 +92,34 @@ class TestPooledKernelsMatchDenseReference:
             rtol=0.0, atol=1e-12)
 
     @SETTINGS
+    @given(view_inputs(), st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_cross_view_grouped_history(self, inputs, num_candidates, ranking, seed):
+        """The grouped rule — static ``(groups, C, n°, d)`` against one
+        ``(groups, n˙, d)`` history per group, or the ranking form
+        ``(C, n°, d)`` against one ``(n˙, d)`` — equals the dense per-row view
+        with each group's history copied out to its C rows (C = 1 and
+        all-padding histories included)."""
+        static, history, valid, weights = inputs
+        groups, num_static, dim = static.shape
+        static = np.random.default_rng(seed).normal(size=(groups, num_candidates, num_static, dim))
+        if ranking:
+            static, history, valid = static[0], history[0], valid[:1]
+            row_weights = mean_pool_weights(cross_valid_mask(num_static, valid))
+            static_mask = cross_static_mask(num_static, valid)
+        else:
+            row_weights = mean_pool_weights(cross_valid_mask(num_static, valid))[:, None]
+            static_mask = cross_static_mask(num_static, valid)[:, None]
+        grouped = kernels.pooled_cross_attention(
+            kernels.project_qkv(static, *weights), kernels.project_qkv(history, *weights),
+            row_weights, static_mask)
+        per_row = dense_cross_view(
+            static.reshape(-1, num_static, dim),
+            np.repeat(history.reshape(-1, *history.shape[-2:]), num_candidates, axis=0),
+            np.repeat(valid, num_candidates, axis=0), weights)
+        assert grouped.shape == static.shape[:-2] + (dim,)
+        np.testing.assert_allclose(grouped.reshape(-1, dim), per_row, rtol=0.0, atol=1e-12)
+
+    @SETTINGS
     @given(view_inputs())
     def test_cross_static_mask_is_the_static_rows_of_the_dense_mask(self, inputs):
         static, history, valid, _ = inputs
@@ -150,13 +181,23 @@ class TestTensorTwins:
             kernels.pooled_attention(*(t.data for t in inputs), row_weights, mask=mask),
             rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("static_shape", [(2, 2, 4), (3, 2, 2, 4)],
-                             ids=["per-row", "group-broadcast"])
-    def test_pooled_cross_attention_gradients(self, rng, static_shape):
+    # static (..., C, n°, d), history (..., n˙, d), its validity rows, and
+    # whether the masks take a C axis: per row, (groups, C) grouped, ranking.
+    CROSS_FORMS = {
+        "per-row": ((2, 2, 4), (2, 3, 4), VALID, False),
+        "grouped": ((2, 3, 2, 4), (2, 3, 4), VALID, True),
+        "ranking": ((3, 2, 4), (3, 4), VALID[:1], False),
+    }
+
+    @pytest.mark.parametrize("form", list(CROSS_FORMS))
+    def test_pooled_cross_attention_gradients(self, rng, form):
+        static_shape, history_shape, valid, candidate_axis = self.CROSS_FORMS[form]
         weigh = Tensor(rng.normal(size=static_shape[:-2] + (4,)))
-        row_weights = mean_pool_weights(cross_valid_mask(2, self.VALID))
-        static_mask = cross_static_mask(2, self.VALID)
-        inputs = self._tensors(rng, *[static_shape] * 3, *[(2, 3, 4)] * 3)
+        row_weights = mean_pool_weights(cross_valid_mask(2, valid))
+        static_mask = cross_static_mask(2, valid)
+        if candidate_axis:
+            row_weights, static_mask = row_weights[:, None], static_mask[:, None]
+        inputs = self._tensors(rng, *[static_shape] * 3, *[history_shape] * 3)
 
         def loss(ts):
             return (F.pooled_cross_attention(ts[:3], ts[3:], row_weights, static_mask)
@@ -171,9 +212,9 @@ class TestTensorTwins:
 
 
 class TestFusedGroupsEqualUntiled:
-    """A candidate-fused batch (``dynamic_tile`` > 1) projects each group's
-    history once and gathers the projected rows out; dropping the hint
-    projects every row's own copy.  Same loss, same parameter gradients."""
+    """A candidate-fused batch (``dynamic_tile`` > 1) attends each group's
+    history once for all of its candidates; dropping the hint attends every
+    row's own copy.  Same loss, same parameter gradients."""
 
     NUM_DRAWS = 3
 
@@ -195,3 +236,42 @@ class TestFusedGroupsEqualUntiled:
         assert tiled_loss == pytest.approx(untiled_loss, abs=1e-12)
         for tiled, untiled in zip(tiled_grads, untiled_grads):
             np.testing.assert_allclose(tiled, untiled, rtol=0.0, atol=1e-12)
+
+
+class TestFusedGraphHasNoPerRowHistory:
+    """The fused step attends each history once per group: no tensor in its
+    graph has one row per candidate (``B·(1+k)``) *and* an n˙ axis — the
+    shape of a history copied out to every row.  The sizes are chosen so that
+    n˙ differs from every other axis length of the graph."""
+
+    NUM_DRAWS = 2
+    SEQ_LEN = 5
+
+    def test_no_tensor_has_candidate_rows_and_a_history_axis(self, tiny_log, sampler):
+        encoder = FeatureEncoder(tiny_log, max_seq_len=self.SEQ_LEN)
+        examples = encoder.encode_training_instances(leave_one_out_split(tiny_log).train)
+        batch = FeatureBatch.from_examples(examples[:8])
+        negatives = np.stack([sampler.sample_batch(batch.user_ids, batch.object_ids)
+                              for _ in range(self.NUM_DRAWS)])
+        fused = batch.with_candidates(encoder, negatives)
+        config = SeqFMConfig(static_vocab_size=encoder.static_vocab_size,
+                             dynamic_vocab_size=encoder.dynamic_vocab_size,
+                             max_seq_len=self.SEQ_LEN, embed_dim=8, dropout=0.0, seed=0)
+        loss = SeqFMRanker(config).fused_loss(fused, len(batch), self.NUM_DRAWS)
+
+        rows = len(batch) * (1 + self.NUM_DRAWS)
+        assert self.SEQ_LEN not in (config.embed_dim, fused.static_indices.shape[1],
+                                    1 + self.NUM_DRAWS, len(batch), rows)
+        seen, stack, shapes = set(), [loss], []
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            shapes.append(node.shape)
+            stack.extend(node._parents)
+        per_row_history = [shape for shape in shapes
+                           if shape[:1] == (rows,) and self.SEQ_LEN in shape[1:]]
+        assert per_row_history == []
+        # the walk did reach the cross view's grouped products
+        assert any(shape[:2] == (len(batch), 1 + self.NUM_DRAWS) for shape in shapes)
