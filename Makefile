@@ -11,12 +11,11 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # Static analysis: the in-repo analyzer (kernel purity, lock discipline,
-# numerics hygiene, protocol completeness) over src + tests + benchmarks
-# against the committed baseline, plus ruff (import order, unused imports,
-# bugbear) when it is installed.
+# numerics hygiene) over src + tests + benchmarks, plus ruff (import order,
+# unused imports, bugbear) when it is installed.
 # CI passes LINT_FLAGS="--format github" to surface findings as annotations.
 lint:
-	$(PYTHON) -m repro.analysis src tests benchmarks --baseline analysis-baseline.txt $(LINT_FLAGS)
+	$(PYTHON) -m repro.analysis src tests benchmarks $(LINT_FLAGS)
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests benchmarks examples; \
 	else \

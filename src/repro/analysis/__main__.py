@@ -2,15 +2,14 @@
 
 Exit codes follow the usual linter contract::
 
-    0  no findings (clean, or everything baselined/suppressed)
+    0  no findings (clean, or everything suppressed inline)
     1  findings
-    2  usage error (unknown rule, missing path, unreadable baseline)
+    2  usage error (unknown rule, missing path, unknown option)
 
 ``--format github`` renders findings as GitHub workflow annotations so the
-CI ``lint`` job surfaces them inline on the PR diff; ``--write-baseline``
-(re)generates the grandfather file from the current tree.  Output ordering
-is deterministic — findings sort by (path, line, col, rule) — so two runs
-over the same tree are byte-identical on any platform.
+CI ``lint`` job surfaces them inline on the PR diff.  Output ordering is
+deterministic — findings sort by (path, line, col, rule) — so two runs over
+the same tree are byte-identical on any platform.
 """
 
 from __future__ import annotations
@@ -20,12 +19,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis import (
-    analyze,
-    default_rules,
-    load_baseline,
-    render_baseline,
-)
+from repro.analysis import analyze, default_rules
 
 USAGE_ERROR = 2
 
@@ -41,13 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("text", "github"),
                         help="finding format: human text or GitHub workflow "
                              "annotations (default: text)")
-    parser.add_argument("--baseline", type=Path, default=None,
-                        help="committed baseline file of grandfathered "
-                             "finding keys (default: none)")
-    parser.add_argument("--write-baseline", type=Path, default=None,
-                        metavar="PATH",
-                        help="write the current findings as a new baseline "
-                             "to PATH and exit 0")
     parser.add_argument("--select", default=None, metavar="RULES",
                         help="comma-separated rule ids to run "
                              "(default: all)")
@@ -86,38 +73,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"error: no such path: {path}", file=sys.stderr)
             return USAGE_ERROR
 
-    baseline: List[str] = []
-    if args.baseline is not None:
-        try:
-            baseline = load_baseline(args.baseline)
-        except OSError as error:
-            print(f"error: cannot read baseline {args.baseline}: {error}",
-                  file=sys.stderr)
-            return USAGE_ERROR
-
-    report = analyze(paths, rules, root=args.root, baseline=baseline)
-
-    if args.write_baseline is not None:
-        grandfathered = sorted(report.findings + report.baselined)
-        args.write_baseline.write_text(render_baseline(grandfathered),
-                                       encoding="utf-8")
-        print(f"wrote {len(grandfathered)} finding(s) to "
-              f"{args.write_baseline}")
-        return 0
+    report = analyze(paths, rules, root=args.root)
 
     for finding in report.findings:
         print(finding.render() if args.output_format == "text"
               else finding.render_github())
 
     summary = [f"{len(report.findings)} finding(s)"]
-    if report.baselined:
-        summary.append(f"{len(report.baselined)} baselined")
     if report.suppressed:
         summary.append(f"{len(report.suppressed)} suppressed inline")
     print("repro.analysis: " + ", ".join(summary), file=sys.stderr)
-    for stale in report.stale_baseline:
-        print(f"repro.analysis: stale baseline entry (debt paid — delete "
-              f"it): {stale}", file=sys.stderr)
     return 0 if report.ok else 1
 
 

@@ -1,33 +1,25 @@
-"""The static-analysis framework: findings, rules, suppressions, baselines.
+"""The static-analysis framework: findings, rules, suppressions.
 
 pytest can only *sample* the invariants the serving runtime and the kernels
-live by — a lock left off one new ``self._pending`` write, a Python loop
-snuck into a kernel, a head registered without a CLI route are all bugs a
-test suite catches only if someone thought to write that exact test.  This
-package enforces those invariants *syntactically*, on every line of every
-file, before any test runs.
+live by — a lock left off one new ``self._pending`` write or a Python loop
+snuck into a kernel are bugs a test suite catches only if someone thought to
+write that exact test.  This package enforces those invariants
+*syntactically*, on every line of every file, before any test runs.
 
 The moving parts:
 
 * :class:`Finding` — one diagnostic, pinned to ``file:line:col`` with a
-  stable rule id and a line-number-free :meth:`Finding.key` (the identity
-  the baseline matches on, so findings survive unrelated edits).
-* :class:`Rule` — one invariant.  Per-module rules implement
-  :meth:`Rule.check_module`; whole-repo rules (protocol completeness needs
-  the registry, the heads *and* the CLI at once) implement
-  :meth:`Rule.check_project`.
+  stable rule id.
+* :class:`Rule` — one per-file invariant, implemented by
+  :meth:`Rule.check_module`.
 * **Suppressions** — a ``# repro: allow[rule-id]`` comment on the offending
   line (or the line above it) silences one finding, in the code, where a
   reviewer can see it.
-* **Baseline** — :func:`load_baseline` reads a committed file of finding
-  keys (``#`` comments carry the justifications); matching findings are
-  reported as grandfathered instead of failing the run, so the analyzer can
-  be adopted without rewriting history while still failing on anything new.
 
 :func:`analyze` wires it together and returns a deterministic
 :class:`AnalysisReport` — findings sorted by (path, line, col, rule), so the
-output and any baseline diff are stable across platforms and dict orders.
-Files that do not parse become ``syntax-error`` findings, never a crash.
+output is stable across platforms and dict orders.  Files that do not parse
+become ``syntax-error`` findings, never a crash.
 """
 
 from __future__ import annotations
@@ -45,18 +37,13 @@ SYNTAX_ERROR_RULE = "syntax-error"
 #: comment.
 ALLOW_COMMENT = re.compile(r"#\s*repro:\s*allow\[([\w\-, ]+)\]")
 
-#: Separator between the key fields of a baseline entry.
-KEY_SEPARATOR = " :: "
-
 
 @dataclass(frozen=True, order=True)
 class Finding:
     """One diagnostic: where it is, which invariant it breaks, and why.
 
     Ordering is (path, line, col, rule, message) — exactly the deterministic
-    report order.  ``message`` must not embed line numbers: together with
-    ``path`` and ``rule`` it forms the baseline identity (:meth:`key`),
-    which has to survive unrelated edits shifting the file around.
+    report order.
     """
 
     path: str
@@ -64,10 +51,6 @@ class Finding:
     col: int
     rule: str
     message: str
-
-    def key(self) -> str:
-        """The line-number-free identity a baseline entry matches on."""
-        return KEY_SEPARATOR.join((self.path, self.rule, self.message))
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"
@@ -103,32 +86,16 @@ class Module:
         return frozenset(allowed)
 
 
-@dataclass
-class Project:
-    """Every module of one analysis run, for whole-repo rules."""
-
-    modules: List[Module] = field(default_factory=list)
-
-    def find(self, suffix: str) -> Optional[Module]:
-        """The unique module whose path ends with ``suffix``, if present."""
-        matches = [module for module in self.modules if module.matches(suffix)]
-        return matches[0] if len(matches) == 1 else None
-
-
 class Rule:
-    """One enforced invariant.  Subclasses implement either check method."""
+    """One enforced per-file invariant."""
 
-    #: Stable identifier: the ``# repro: allow[...]`` / baseline / CLI name.
+    #: Stable identifier: the ``# repro: allow[...]`` / ``--select`` name.
     rule_id: str = ""
     #: One operator-facing line, shown by ``--list-rules``.
     description: str = ""
 
     def check_module(self, module: Module) -> Iterable[Finding]:
-        """Findings local to one file (most rules)."""
-        return ()
-
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        """Findings needing the whole repo at once (cross-file invariants)."""
+        """Findings in one file."""
         return ()
 
 
@@ -136,16 +103,12 @@ class Rule:
 class AnalysisReport:
     """What one analysis run concluded, deterministically ordered.
 
-    ``findings`` fail the run; ``baselined`` matched a committed baseline
-    entry and are grandfathered; ``suppressed`` carried an inline allow
-    comment; ``stale_baseline`` entries matched nothing (the debt they
-    tracked was paid — they should be deleted from the baseline file).
+    ``findings`` fail the run; ``suppressed`` carried an inline allow
+    comment.
     """
 
     findings: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    stale_baseline: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -194,75 +157,38 @@ def collect_files(paths: Sequence[Path]) -> List[Path]:
     return [unique[key] for key in sorted(unique)]
 
 
-def load_baseline(path: Path) -> List[str]:
-    """Finding keys grandfathered by a committed baseline file.
-
-    One key per line; blank lines and ``#`` comments (the justifications —
-    every grandfathered finding should carry one) are ignored.  Entries are
-    a multiset: a key listed once forgives one finding.
-    """
-    entries = []
-    for raw_line in path.read_text(encoding="utf-8").splitlines():
-        line = raw_line.strip()
-        if line and not line.startswith("#"):
-            entries.append(line)
-    return entries
-
-
-def render_baseline(findings: Sequence[Finding]) -> str:
-    """The baseline file content grandfathering exactly ``findings``."""
-    lines = [
-        "# repro.analysis baseline — grandfathered findings.",
-        "# One finding key per line ('path :: rule :: message').  Annotate every",
-        "# entry with WHY it is safe; delete entries once the debt is paid",
-        "# (stale entries are reported on every run).",
-    ]
-    for finding in sorted(findings):
-        lines.append(f"# ({finding.rule}) at {finding.path}:{finding.line}")
-        lines.append(finding.key())
-    return "\n".join(lines) + "\n"
-
-
 def analyze(
     paths: Sequence[Path],
     rules: Sequence[Rule],
     root: Optional[Path] = None,
-    baseline: Sequence[str] = (),
 ) -> AnalysisReport:
     """Run ``rules`` over every Python file under ``paths``.
 
-    Findings are bucketed into failing / baselined / suppressed and sorted
-    by (path, line, col, rule) so two runs over the same tree — any
-    platform, any filesystem order — render byte-identical reports.
+    Findings are bucketed into failing / suppressed and sorted by (path,
+    line, col, rule) so two runs over the same tree — any platform, any
+    filesystem order — render byte-identical reports.
     """
     root = root if root is not None else Path.cwd()
-    project = Project()
+    modules: Dict[str, Module] = {}
     raw_findings: List[Finding] = []
     for path in collect_files(paths):
         module, failure = parse_module(path, root)
         if failure is not None:
             raw_findings.append(failure)
         if module is not None:
-            project.modules.append(module)
+            modules[module.path] = module
 
-    modules_by_path = {module.path: module for module in project.modules}
     for rule in rules:
-        for module in project.modules:
+        for module in modules.values():
             raw_findings.extend(rule.check_module(module))
-        raw_findings.extend(rule.check_project(project))
 
     report = AnalysisReport()
-    remaining = list(baseline)
     for finding in sorted(raw_findings):
-        module = modules_by_path.get(finding.path)
+        module = modules.get(finding.path)
         if module is not None and finding.rule in module.allowed_rules(finding.line):
             report.suppressed.append(finding)
-        elif finding.key() in remaining:
-            remaining.remove(finding.key())
-            report.baselined.append(finding)
         else:
             report.findings.append(finding)
-    report.stale_baseline = remaining
     return report
 
 

@@ -8,8 +8,6 @@ paper's related-work discussion), followed by a scoring layer.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.autograd.tensor import Tensor
@@ -22,7 +20,7 @@ from repro.nn.module import Module
 class _ResidualUnit(Module):
     """y = x + W₂·relu(W₁·x + b₁) + b₂ with a hidden expansion."""
 
-    def __init__(self, dim: int, hidden_dim: int, rng: Optional[np.random.Generator] = None):
+    def __init__(self, dim: int, hidden_dim: int, rng: np.random.Generator):
         super().__init__()
         self.expand = Linear(dim, hidden_dim, rng=rng)
         self.project = Linear(hidden_dim, dim, rng=rng)

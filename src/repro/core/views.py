@@ -14,8 +14,6 @@ attention weights (:func:`repro.autograd.functional.pooled_attention`):
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.autograd import functional as F
@@ -87,7 +85,7 @@ def dynamic_query_rows(queries, valid_mask: np.ndarray, pooling: str):
 class StaticView(Module):
     """Self-attention over static feature embeddings (Eq. 6-8) + pooling."""
 
-    def __init__(self, dim: int, rng: Optional[np.random.Generator] = None):
+    def __init__(self, dim: int, rng: np.random.Generator):
         super().__init__()
         self.attention = SelfAttention(dim, rng=rng)
 
@@ -101,7 +99,7 @@ class StaticView(Module):
 class DynamicView(Module):
     """Causally masked self-attention over the dynamic sequence (Eq. 9-10)."""
 
-    def __init__(self, dim: int, pooling: str = "mean", rng: Optional[np.random.Generator] = None):
+    def __init__(self, dim: int, pooling: str = "mean", *, rng: np.random.Generator):
         super().__init__()
         if pooling not in ("mean", "last"):
             raise ValueError("pooling must be 'mean' or 'last'")
@@ -118,7 +116,7 @@ class DynamicView(Module):
 class CrossView(Module):
     """Masked self-attention over [E°; E˙] keeping only cross interactions (Eq. 11-13)."""
 
-    def __init__(self, dim: int, rng: Optional[np.random.Generator] = None):
+    def __init__(self, dim: int, rng: np.random.Generator):
         super().__init__()
         self.attention = SelfAttention(dim, rng=rng)
 

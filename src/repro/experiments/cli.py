@@ -147,9 +147,6 @@ def build_train_parser() -> argparse.ArgumentParser:
     parser.add_argument("--negatives", type=int, default=None,
                         help="negatives per positive (ranking/classification)")
     parser.add_argument("--seed", type=int, default=0, help="model / training seed")
-    parser.add_argument("--looped-negatives", action="store_true",
-                        help="use the slow per-draw training path instead of the "
-                             "fused fast path (debugging / comparison only)")
     return parser
 
 
@@ -160,8 +157,7 @@ def run_train(argv: List[str]) -> int:
     print(f"dataset={context.dataset} task={context.task} scale={args.scale} "
           f"examples={len(context.train_examples)}")
 
-    overrides = {"verbose": True, "fused_negatives": not args.looped_negatives,
-                 "seed": args.seed}
+    overrides = {"verbose": True, "seed": args.seed}
     for name, value in (("epochs", args.epochs), ("batch_size", args.batch_size),
                         ("learning_rate", args.learning_rate),
                         ("negatives_per_positive", args.negatives)):

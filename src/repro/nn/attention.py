@@ -29,13 +29,14 @@ class SelfAttention(Module):
     dim:
         Latent dimension ``d``; queries, keys and values all live in R^d, as
         in the paper (W_Q, W_K, W_V ∈ R^{d×d}).
+    rng:
+        Generator the projection weights are drawn from.
     """
 
-    def __init__(self, dim: int, rng: Optional[np.random.Generator] = None):
+    def __init__(self, dim: int, rng: np.random.Generator):
         super().__init__()
         if dim <= 0:
             raise ValueError("attention dim must be positive")
-        rng = rng if rng is not None else np.random.default_rng()
         self.dim = dim
         self.w_query = Parameter(init.xavier_uniform((dim, dim), rng), name="w_query")
         self.w_key = Parameter(init.xavier_uniform((dim, dim), rng), name="w_key")

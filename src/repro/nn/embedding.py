@@ -32,6 +32,9 @@ class Embedding(Module):
         Optional index whose embedding is pinned to the zero vector.  The
         dynamic-view padding rows of the paper ("repeatedly add a padding
         vector {0}^{1×m}") map to this index.
+    rng:
+        Generator the table is drawn from; pass the model-level generator so
+        runs are reproducible.
     """
 
     def __init__(
@@ -39,13 +42,13 @@ class Embedding(Module):
         num_embeddings: int,
         embedding_dim: int,
         padding_idx: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
         std: float = 0.05,
     ):
         super().__init__()
         if num_embeddings <= 0 or embedding_dim <= 0:
             raise ValueError("Embedding dimensions must be positive")
-        rng = rng if rng is not None else np.random.default_rng()
         self.num_embeddings = num_embeddings
         self.embedding_dim = embedding_dim
         self.padding_idx = padding_idx

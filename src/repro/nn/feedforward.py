@@ -9,8 +9,6 @@ per-view variant.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.autograd.tensor import Tensor
@@ -32,6 +30,8 @@ class ResidualFeedForward(Module):
         Dropout ratio ρ applied to each layer's residual branch.
     use_residual / use_layer_norm:
         Ablation switches for the "Remove RC" / "Remove LN" rows of Table V.
+    rng:
+        Generator shared by every layer's weights and dropout masks.
     """
 
     def __init__(
@@ -41,12 +41,12 @@ class ResidualFeedForward(Module):
         dropout: float = 0.0,
         use_residual: bool = True,
         use_layer_norm: bool = True,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ):
         super().__init__()
         if num_layers < 1:
             raise ValueError("ResidualFeedForward requires at least one layer")
-        rng = rng if rng is not None else np.random.default_rng()
         self.dim = dim
         self.num_layers = num_layers
         self.use_residual = use_residual

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -38,12 +38,12 @@ class LayerNorm(Module):
 class Dropout(Module):
     """Inverted dropout with ratio ρ (Section III-F of the paper)."""
 
-    def __init__(self, ratio: float, rng: Optional[np.random.Generator] = None):
+    def __init__(self, ratio: float, rng: np.random.Generator):
         super().__init__()
         if not 0.0 <= ratio < 1.0:
             raise ValueError(f"dropout ratio must be in [0, 1), got {ratio}")
         self.ratio = ratio
-        self.rng = rng if rng is not None else np.random.default_rng()
+        self.rng = rng
 
     def forward(self, x: Tensor) -> Tensor:
         return F.dropout(x, self.ratio, training=self.training, rng=self.rng)

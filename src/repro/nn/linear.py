@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.autograd import functional as F
@@ -31,12 +29,12 @@ class Linear(Module):
         in_features: int,
         out_features: int,
         bias: bool = True,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ):
         super().__init__()
         if in_features <= 0 or out_features <= 0:
             raise ValueError("Linear dimensions must be positive")
-        rng = rng if rng is not None else np.random.default_rng()
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(init.xavier_uniform((in_features, out_features), rng), name="weight")

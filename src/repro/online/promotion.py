@@ -15,10 +15,9 @@ A gate-rejected candidate records a ``rejected`` manifest entry for the
 audit trail and touches **nothing** else — registry, index and cursor are
 exactly as before, so the next retrain reconsiders the same events.
 
-``MANIFEST_STATUSES`` is the manifest's status vocabulary; the analyzer's
-protocol-completeness rule checks every literal ``status=`` at a
-:class:`ModelVersion` construction site against it, exactly as it does for
-WAL ops.
+``MANIFEST_STATUSES`` is the manifest's status vocabulary;
+:meth:`ModelLineage.record` rejects a :class:`ModelVersion` with any other
+status.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ from repro.online.log_reader import InteractionLogReader, LogTail
 
 PathLike = Union[str, Path]
 
-#: Every status a manifest entry may carry.  Checked syntactically by
-#: :mod:`repro.analysis.protocol_completeness` at ModelVersion call sites.
+#: Every status a manifest entry may carry (``ModelLineage.record`` checks).
 MANIFEST_STATUSES = (
     "promoted",   # passed the gate; checkpoint written, registry swapped
     "rejected",   # failed the gate; audit entry only, nothing else mutated

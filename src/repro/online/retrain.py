@@ -6,10 +6,9 @@ state (WAL, cursor, manifest): run it twice from the same cursor and the
 second run reports ``no_new_events`` and mutates nothing — idempotency is
 what makes crash-and-rerun safe.
 
-``RETRAIN_STATUSES`` is the vocabulary a cycle may report; like WAL ops and
-manifest statuses it is checked syntactically by the analyzer's
-protocol-completeness rule at every :class:`RetrainReport` construction
-site, so a new outcome cannot ship without being declared.
+``RETRAIN_STATUSES`` is the vocabulary a cycle may report; a
+:class:`RetrainReport` with any other status raises at construction, so a new
+outcome cannot ship without being declared.
 """
 
 from __future__ import annotations
@@ -46,8 +45,8 @@ from repro.online.trainer import (
 
 PathLike = Union[str, Path]
 
-#: Every outcome one retrain cycle may report.  Checked syntactically by
-#: :mod:`repro.analysis.protocol_completeness` at RetrainReport call sites.
+#: Every outcome one retrain cycle may report; ``RetrainReport`` rejects any
+#: other status.
 RETRAIN_STATUSES = (
     "promoted",       # gate passed; checkpoint, registry, index and cursor updated
     "rejected",       # gate failed; manifest audit entry only
@@ -75,6 +74,11 @@ class RetrainReport:
     tag: Optional[str] = None
     verdict: Optional[GateVerdict] = field(default=None, repr=False)
     train_seconds: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.status not in RETRAIN_STATUSES:
+            raise ValueError(f"retrain status {self.status!r} is not in "
+                             f"RETRAIN_STATUSES {RETRAIN_STATUSES}")
 
     def as_dict(self) -> dict:
         return {

@@ -42,7 +42,6 @@ class IncrementalTrainerConfig:
     batch_size: int = 64
     learning_rate: float = 5e-3
     negatives_per_positive: int = 2
-    fused_negatives: bool = True
     max_examples: Optional[int] = None
     seed: int = 0
 
@@ -106,7 +105,6 @@ class IncrementalTrainer:
                 batch_size=self.config.batch_size,
                 learning_rate=self.config.learning_rate,
                 negatives_per_positive=self.config.negatives_per_positive,
-                fused_negatives=self.config.fused_negatives,
                 seed=self.config.seed,
             ),
         )

@@ -119,17 +119,7 @@ from repro.serving.registry import (
     OrphanedIndexWarning,
     RegisteredModel,
 )
-from repro.serving.service import (
-    ServeSummary,
-    execute_batch,
-    parse_rank_request,
-    parse_recommend_request,
-    parse_request,
-    predict_batch,
-    rank_topk_batch,
-    recommend_batch,
-    serve_jsonl,
-)
+from repro.serving.service import ServeSummary, execute_batch, serve_jsonl
 
 __all__ = [
     "BatcherStats",
@@ -171,12 +161,6 @@ __all__ = [
     "execute_batch",
     "inspect_durability",
     "parse_envelope",
-    "parse_rank_request",
-    "parse_recommend_request",
-    "parse_request",
-    "predict_batch",
-    "rank_topk_batch",
-    "recommend_batch",
     "read_wal",
     "serve_jsonl",
 ]

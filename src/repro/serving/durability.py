@@ -51,9 +51,10 @@ from repro.serving.faults import NULL_INJECTOR, FaultInjector
 
 PathLike = Union[str, Path]
 
-#: Every op the store journal may emit.  The analyzer's protocol-completeness
-#: rule checks each ``_journal_op`` call site against this tuple, so a new
-#: mutation cannot silently bypass the replay vocabulary.
+#: Every op the store journal may emit, and every op ``apply_journal``
+#: replays.  A test drives each store mutator through a recording journal and
+#: requires the emitted set to equal this tuple, so a new mutation cannot
+#: bypass the replay vocabulary.
 WAL_OPS = (
     "record",   # update-head write: events appended (the interaction log rows)
     "append",   # append_event: one event extended onto a resident entry
@@ -430,10 +431,8 @@ class DurableSequenceStore:
 
     ``clock`` defaults to wall time (``time.time``) rather than the inner
     store's monotonic default: TTL stamps live in the WAL and must stay
-    meaningful across process restarts.  ``log_reads=False`` drops the
-    ``touch`` records read hits emit — cheaper and fine for the interaction
-    log, but recovery then restores *contents* exactly while LRU recency may
-    differ, so keep it on when eviction-order fidelity matters.
+    meaningful across process restarts.  Read hits journal ``touch``
+    records, so recovery restores LRU recency as well as contents.
     """
 
     def __init__(
@@ -444,12 +443,10 @@ class DurableSequenceStore:
         ttl: Optional[float] = None,
         clock: Callable[[], float] = time.time,
         fsync_every: int = 256,
-        log_reads: bool = True,
         injector: Optional[FaultInjector] = None,
     ):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.log_reads = bool(log_reads)
         self._injector = injector if injector is not None else NULL_INJECTOR
         self._snapshot_path = self.directory / _SNAPSHOT_NAME
         self._wal_path = self.directory / _WAL_NAME
@@ -495,8 +492,6 @@ class DurableSequenceStore:
     # never the other way round.
     def _journal_sink(self, record: dict) -> None:
         """The inner store's journal: every mutation record → WAL append."""
-        if not self.log_reads and record.get("op") == "touch":
-            return
         self._wal.append(record)
 
     # ------------------------------------------------------------------ #

@@ -124,6 +124,8 @@ def error_response(
     request_id: Any = None,
 ) -> dict:
     """The structured error body a failed request is answered with."""
+    if code not in ERROR_CODES:
+        raise ValueError(f"unknown error code {code!r}")
     error: Dict[str, Any] = {"code": code, "message": message}
     if line is not None:
         error["line"] = line

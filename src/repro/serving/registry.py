@@ -370,7 +370,6 @@ class ModelRegistry:
         name: str,
         directory: PathLike,
         fsync_every: int = 256,
-        log_reads: bool = True,
         injector=None,
     ):
         """Swap ``name``'s sequence store for a WAL-backed durable one.
@@ -391,7 +390,6 @@ class ModelRegistry:
             capacity=self.cache_capacity,
             ttl=self.cache_ttl,
             fsync_every=fsync_every,
-            log_reads=log_reads,
             injector=injector,
         )
         entry.sequence_store = durable
@@ -430,9 +428,8 @@ class ModelRegistry:
     ) -> dict:
         """Answer a batch of JSON request payloads through any registered head.
 
-        The one endpoint the per-head batch helpers collapsed onto: ``head``
-        names an entry of the :class:`~repro.serving.protocol.HeadRegistry`
-        (``score`` / ``rank`` / ``classify`` / ``regress`` / ``rank-topk`` /
+        ``head`` names an entry of the
+        :class:`~repro.serving.protocol.HeadRegistry` (``score`` / ``rank`` / ``classify`` / ``regress`` / ``rank-topk`` /
         ``recommend`` / ``update`` out of the box), ``k``/``n_retrieve`` are
         defaults for requests without their own.  Returns the head's response
         payload — results plus batching and cache statistics.

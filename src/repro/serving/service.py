@@ -35,10 +35,6 @@ v1 request that *omits* ``history`` is answered against the user's
 server-side sequence, maintained by the stateful ``update`` head::
 
     {"v": 1, "head": "update", "payload": {"user_id": 42, "events": [9]}}
-
-The pre-protocol per-head helpers — :func:`predict_batch`,
-:func:`rank_topk_batch`, :func:`recommend_batch` and the ``parse_*``
-functions — remain as thin deprecation shims over the generic dispatcher.
 """
 
 from __future__ import annotations
@@ -48,7 +44,6 @@ import threading
 from dataclasses import dataclass, field
 from typing import IO, Dict, Iterable, Optional
 
-from repro.serving.batcher import RankRequest, RecommendRequest, ScoreRequest
 from repro.serving.cache import CacheStats
 from repro.serving.protocol import (
     ERR_BAD_JSON,
@@ -64,20 +59,6 @@ from repro.serving.protocol import (
     parse_envelope,
 )
 from repro.serving.registry import ModelRegistry
-
-#: The head whose requests are ranking (candidate-list) requests.
-RANK_TOPK_HEAD = "rank-topk"
-
-#: The head whose requests are candidate-free recommendation requests.
-RECOMMEND_HEAD = "recommend"
-
-
-def __getattr__(name: str):
-    # ``HEADS`` mirrors the default HeadRegistry instead of duplicating it;
-    # resolved lazily so importing this module does not drag retrieval in.
-    if name == "HEADS":
-        return default_heads().names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _cache_delta(before: CacheStats, after: CacheStats) -> CacheStats:
@@ -131,71 +112,6 @@ def execute_batch(
         **head_obj.batch_payload(results),
         "stats": head_obj.batch_stats(batcher, entry, cache, results),
     }
-
-
-# --------------------------------------------------------------------------- #
-# Deprecation shims (pre-protocol public entry points)
-# --------------------------------------------------------------------------- #
-def predict_batch(
-    registry: ModelRegistry,
-    name: str,
-    payloads: Iterable[dict],
-    head: str = "score",
-    max_batch_size: int = 256,
-) -> dict:
-    """Deprecated: use :meth:`ModelRegistry.serve` / :func:`execute_batch`.
-
-    Kept as a thin shim over the generic dispatcher; response payloads are
-    unchanged (parity-tested).
-    """
-    return execute_batch(registry, name, payloads, head=head,
-                         max_batch_size=max_batch_size)
-
-
-def rank_topk_batch(
-    registry: ModelRegistry,
-    name: str,
-    payloads: Iterable[dict],
-    k: Optional[int] = None,
-    max_batch_size: int = 256,
-) -> dict:
-    """Deprecated: use :meth:`ModelRegistry.serve` with ``head="rank-topk"``."""
-    return execute_batch(registry, name, payloads, head=RANK_TOPK_HEAD, k=k,
-                         max_batch_size=max_batch_size)
-
-
-def recommend_batch(
-    registry: ModelRegistry,
-    name: str,
-    payloads: Iterable[dict],
-    k: Optional[int] = None,
-    n_retrieve: Optional[int] = None,
-    max_batch_size: int = 256,
-) -> dict:
-    """Deprecated: use :meth:`ModelRegistry.serve` with ``head="recommend"``."""
-    return execute_batch(registry, name, payloads, head=RECOMMEND_HEAD, k=k,
-                         n_retrieve=n_retrieve, max_batch_size=max_batch_size)
-
-
-def parse_request(payload: dict) -> ScoreRequest:
-    """Deprecated: parse one scoring payload (now ``Head.parse``)."""
-    return default_heads().get("score").parse(payload, ServeDefaults())
-
-
-def parse_rank_request(payload: dict, default_k: Optional[int] = None) -> RankRequest:
-    """Deprecated: parse one ranking payload (now ``Head.parse``)."""
-    return default_heads().get(RANK_TOPK_HEAD).parse(
-        payload, ServeDefaults(k=default_k))
-
-
-def parse_recommend_request(
-    payload: dict,
-    default_k: Optional[int] = None,
-    default_n_retrieve: Optional[int] = None,
-) -> RecommendRequest:
-    """Deprecated: parse one recommendation payload (now ``Head.parse``)."""
-    return default_heads().get(RECOMMEND_HEAD).parse(
-        payload, ServeDefaults(k=default_k, n_retrieve=default_n_retrieve))
 
 
 # --------------------------------------------------------------------------- #

@@ -3,9 +3,9 @@
 Every rule is exercised three ways — a bad snippet flagged at the expected
 line, a good snippet that passes, and the escape hatches (``with self._lock:``
 scoping, ``# repro: locked`` annotations, ``# repro: allow[...]``
-suppressions, the committed baseline).  The CLI tests pin the exit-code
-contract (0 clean / 1 findings / 2 usage error) and the real-tree test keeps
-``src/`` clean against ``analysis-baseline.txt`` forever.
+suppressions).  The CLI tests pin the exit-code contract (0 clean / 1
+findings / 2 usage error) and the real-tree tests keep ``src`` + ``tests`` +
+``benchmarks`` free of findings forever.
 """
 
 from __future__ import annotations
@@ -22,26 +22,24 @@ from repro.analysis import (
     KernelPurityRule,
     LockDisciplineRule,
     NumericsHygieneRule,
-    ProtocolCompletenessRule,
     SYNTAX_ERROR_RULE,
     analyze,
     default_rules,
-    load_baseline,
 )
 from repro.analysis.__main__ import main as analysis_main
-from repro.analysis.core import ALLOW_COMMENT, KEY_SEPARATOR, attribute_on, dotted_name
+from repro.analysis.core import ALLOW_COMMENT, attribute_on, dotted_name
 from repro.analysis.lock_discipline import CONSTRUCTION_METHODS, DEFAULT_SHARED_STATE
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def run(tmp_path, files, rules, baseline=()):
+def run(tmp_path, files, rules):
     """Write ``files`` (path → snippet) under tmp_path and analyze them."""
     for relative, source in files.items():
         path = tmp_path / relative
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source), encoding="utf-8")
-    return analyze([tmp_path], rules, root=tmp_path, baseline=list(baseline))
+    return analyze([tmp_path], rules, root=tmp_path)
 
 
 # --------------------------------------------------------------------------- #
@@ -203,143 +201,6 @@ class TestKernelPurity:
 
 
 # --------------------------------------------------------------------------- #
-# protocol-completeness
-# --------------------------------------------------------------------------- #
-PROTO_RULE = ProtocolCompletenessRule(protocol_module="proto/protocol.py",
-                                      cli_module="proto/cli.py")
-
-PROTOCOL_OK = """\
-    ERR_BAD = "bad-request"
-    ERR_LOST = "lost"
-    ERROR_CODES = (ERR_BAD, ERR_LOST)
-
-    class Head:
-        name = ""
-
-    class ScoreHead(Head):
-        name = "score"
-
-    REGISTRY = HeadRegistry([ScoreHead()])
-
-    def fail():
-        raise ProtocolError(ERR_BAD, "nope")
-    """
-
-CLI_OK = """\
-    head_choices = ("score",)
-    """
-
-
-class TestProtocolCompleteness:
-    def test_complete_protocol_passes(self, tmp_path):
-        report = run(tmp_path, {"proto/protocol.py": PROTOCOL_OK,
-                                "proto/cli.py": CLI_OK}, [PROTO_RULE])
-        assert report.ok
-
-    def test_unregistered_head_is_flagged_at_its_class(self, tmp_path):
-        source = PROTOCOL_OK + """
-    class RankHead(Head):
-        name = "rank"
-    """
-        report = run(tmp_path, {"proto/protocol.py": source,
-                                "proto/cli.py": CLI_OK}, [PROTO_RULE])
-        assert len(report.findings) == 1
-        assert "RankHead" in report.findings[0].message
-        assert "never registered" in report.findings[0].message
-
-    def test_error_code_missing_from_tuple_is_flagged(self, tmp_path):
-        source = PROTOCOL_OK.replace("ERROR_CODES = (ERR_BAD, ERR_LOST)",
-                                     "ERROR_CODES = (ERR_BAD,)")
-        report = run(tmp_path, {"proto/protocol.py": source,
-                                "proto/cli.py": CLI_OK}, [PROTO_RULE])
-        assert [f.message for f in report.findings] == \
-            ["error code constant 'ERR_LOST' is missing from ERROR_CODES"]
-
-    def test_raising_an_undeclared_code_is_flagged(self, tmp_path):
-        source = PROTOCOL_OK + """
-    def fail_harder():
-        raise ProtocolError("unheard-of", "nope")
-    """
-        report = run(tmp_path, {"proto/protocol.py": source,
-                                "proto/cli.py": CLI_OK}, [PROTO_RULE])
-        assert len(report.findings) == 1
-        assert "'unheard-of'" in report.findings[0].message
-
-    def test_registered_head_without_cli_route_is_flagged(self, tmp_path):
-        report = run(tmp_path, {"proto/protocol.py": PROTOCOL_OK,
-                                "proto/cli.py": 'head_choices = ("other",)\n'},
-                     [PROTO_RULE])
-        assert len(report.findings) == 1
-        assert "no CLI serving route" in report.findings[0].message
-
-    def test_rule_is_silent_without_the_protocol_module(self, tmp_path):
-        report = run(tmp_path, {"lone.py": "x = 1\n"}, [PROTO_RULE])
-        assert report.ok
-
-
-#: Online status-vocabulary fixtures: the rule locates the declaring modules
-#: by suffix, so fixture paths mirror the real repro/online layout.
-ONLINE_PROMOTION_OK = """\
-    MANIFEST_STATUSES = ("promoted", "rejected")
-
-    def record_promotion():
-        return ModelVersion(version=1, status="promoted", checkpoint="m@v1.npz",
-                            cursor_seq=5, parent=0, gate={}, examples=3)
-    """
-
-ONLINE_RETRAIN_OK = """\
-    RETRAIN_STATUSES = ("promoted", "rejected", "no_new_events", "dry_run")
-
-    def report_cycle():
-        return RetrainReport(status="no_new_events", model="m",
-                             start_seq=0, end_seq=0)
-    """
-
-
-class TestStatusVocabularies:
-    FILES = {"proto/protocol.py": PROTOCOL_OK, "proto/cli.py": CLI_OK,
-             "repro/online/promotion.py": ONLINE_PROMOTION_OK,
-             "repro/online/retrain.py": ONLINE_RETRAIN_OK}
-
-    def test_declared_statuses_pass(self, tmp_path):
-        report = run(tmp_path, dict(self.FILES), [PROTO_RULE])
-        assert report.ok
-
-    def test_undeclared_manifest_status_is_flagged(self, tmp_path):
-        files = dict(self.FILES)
-        files["repro/online/promotion.py"] = ONLINE_PROMOTION_OK + """
-    def record_rollback():
-        return ModelVersion(version=2, status="rolled_back", checkpoint=None,
-                            cursor_seq=5, parent=1, gate={}, examples=0)
-    """
-        report = run(tmp_path, files, [PROTO_RULE])
-        assert len(report.findings) == 1
-        assert "'rolled_back'" in report.findings[0].message
-        assert "MANIFEST_STATUSES" in report.findings[0].message
-
-    def test_undeclared_retrain_status_is_flagged_anywhere(self, tmp_path):
-        files = dict(self.FILES)
-        files["repro/online/cli_glue.py"] = """\
-    def weird():
-        return RetrainReport(status="skipped", model="m",
-                             start_seq=0, end_seq=0)
-    """
-        report = run(tmp_path, files, [PROTO_RULE])
-        assert len(report.findings) == 1
-        assert "'skipped'" in report.findings[0].message
-        assert "RETRAIN_STATUSES" in report.findings[0].message
-
-    def test_dynamic_status_is_not_guessed_at(self, tmp_path):
-        files = dict(self.FILES)
-        files["repro/online/retrain.py"] = ONLINE_RETRAIN_OK + """
-    def passthrough(status):
-        return RetrainReport(status=status, model="m", start_seq=0, end_seq=0)
-    """
-        report = run(tmp_path, files, [PROTO_RULE])
-        assert report.ok
-
-
-# --------------------------------------------------------------------------- #
 # numerics-hygiene
 # --------------------------------------------------------------------------- #
 NUM_RULE = NumericsHygieneRule()
@@ -386,27 +247,22 @@ class TestNumericsHygiene:
 
 
 # --------------------------------------------------------------------------- #
-# Framework: baseline, syntax errors, determinism
+# Framework: suppressions, syntax errors, determinism
 # --------------------------------------------------------------------------- #
 class TestFramework:
-    def test_baseline_grandfathers_and_reports_stale_entries(self, tmp_path):
-        baseline = [
-            "maths.py :: numerics-hygiene :: floating-point equality "
-            "'== 0.3' — compare with a tolerance or an inequality",
-            "gone.py :: numerics-hygiene :: long-paid debt",
-        ]
-        report = run(tmp_path, {"maths.py": "x = 1 == 0.3\n"}, [NUM_RULE],
-                     baseline=baseline)
-        assert report.ok
-        assert len(report.baselined) == 1
-        assert report.stale_baseline == [baseline[1]]
+    def test_allow_comment_on_the_line_above_suppresses(self, tmp_path):
+        report = run(tmp_path, {"maths.py": """\
+            # repro: allow[numerics-hygiene]
+            x = 1 == 0.3
+            """}, [NUM_RULE])
+        assert report.ok and [f.line for f in report.suppressed] == [2]
 
-    def test_baseline_key_survives_line_shifts(self, tmp_path):
-        report = run(tmp_path, {"maths.py": "x = 1 == 0.3\n"}, [NUM_RULE])
-        key = report.findings[0].key()
-        shifted = run(tmp_path, {"maths.py": "# pushed down\n\nx = 1 == 0.3\n"},
-                      [NUM_RULE], baseline=[key])
-        assert shifted.ok and len(shifted.baselined) == 1
+    def test_allow_comment_for_another_rule_does_not_suppress(self, tmp_path):
+        report = run(tmp_path, {"maths.py":
+                                "x = 1 == 0.3  # repro: allow[kernel-purity]\n"},
+                     [NUM_RULE])
+        assert [f.rule for f in report.findings] == ["numerics-hygiene"]
+        assert not report.suppressed
 
     def test_unparseable_file_is_a_finding_not_a_crash(self, tmp_path):
         report = run(tmp_path, {"broken.py": "def broken(:\n",
@@ -455,15 +311,21 @@ class TestCli:
         assert analysis_main([str(tmp_path / "absent")]) == 2
         assert "no such path" in capsys.readouterr().err
 
-    def test_write_baseline_round_trips_to_a_clean_run(self, tmp_path, capsys):
-        (tmp_path / "dirty.py").write_text("x = 1 == 0.3\n", encoding="utf-8")
-        baseline = tmp_path / "baseline.txt"
-        assert analysis_main([str(tmp_path / "dirty.py"), "--root",
-                              str(tmp_path), "--write-baseline",
-                              str(baseline)]) == 0
-        assert analysis_main([str(tmp_path / "dirty.py"), "--root",
-                              str(tmp_path), "--baseline", str(baseline)]) == 0
-        assert "1 baselined" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", ["--baseline", "--write-baseline"])
+    def test_removed_baseline_options_are_usage_errors(self, tmp_path, capsys,
+                                                       flag):
+        """There is no grandfather ledger; an old command line fails loudly."""
+        with pytest.raises(SystemExit) as info:
+            analysis_main([str(tmp_path), flag, "x"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err
+
+    def test_inline_suppressions_are_counted_in_the_summary(self, tmp_path,
+                                                            capsys):
+        (tmp_path / "ok.py").write_text(
+            "x = 1 == 0.3  # repro: allow[numerics-hygiene]\n", encoding="utf-8")
+        assert analysis_main([str(tmp_path), "--root", str(tmp_path)]) == 0
+        assert "0 finding(s), 1 suppressed inline" in capsys.readouterr().err
 
     def test_select_restricts_the_rules_run(self, tmp_path, capsys):
         (tmp_path / "dirty.py").write_text("x = 1 == 0.3\n", encoding="utf-8")
@@ -479,42 +341,35 @@ class TestCli:
         assert info.value.code == 2
         assert "unrecognized arguments: --jobs 4" in capsys.readouterr().err
 
-    def test_list_rules_names_the_four_rules(self, capsys):
-        """Exactly these four: no concurrency rule survives the serial loop."""
+    def test_list_rules_names_the_three_rules(self, capsys):
+        """Exactly these three: the protocol registries are checked at run
+        time (tests/test_protocol_registries.py), not by an AST rule."""
         assert analysis_main(["--list-rules"]) == 0
         listed = [line.split(":")[0]
                   for line in capsys.readouterr().out.splitlines()]
         assert listed == ["kernel-purity", "lock-discipline",
-                          "numerics-hygiene", "protocol-completeness"]
+                          "numerics-hygiene"]
 
 
 # --------------------------------------------------------------------------- #
-# The real tree stays clean against the committed baseline
+# The real tree is clean
 # --------------------------------------------------------------------------- #
-def test_src_tree_is_clean_against_committed_baseline(capsys):
-    exit_code = analysis_main([
-        str(REPO_ROOT / "src"),
-        "--root", str(REPO_ROOT),
-        "--baseline", str(REPO_ROOT / "analysis-baseline.txt"),
-    ])
+def test_src_tree_is_clean(capsys):
+    exit_code = analysis_main([str(REPO_ROOT / "src"), "--root", str(REPO_ROOT)])
     captured = capsys.readouterr()
     assert exit_code == 0, captured.out
-    # No stale entries either: every baselined debt still exists.
-    assert "stale baseline entry" not in captured.err
 
 
-def test_full_tree_is_clean_against_committed_baseline(capsys):
-    """``make lint`` scope: src + tests + benchmarks, same baseline."""
+def test_full_tree_is_clean(capsys):
+    """``make lint`` scope: src + tests + benchmarks."""
     exit_code = analysis_main([
         str(REPO_ROOT / "src"),
         str(REPO_ROOT / "tests"),
         str(REPO_ROOT / "benchmarks"),
         "--root", str(REPO_ROOT),
-        "--baseline", str(REPO_ROOT / "analysis-baseline.txt"),
     ])
     captured = capsys.readouterr()
     assert exit_code == 0, captured.out
-    assert "stale baseline entry" not in captured.err
 
 
 @pytest.mark.parametrize("expected", [
@@ -620,11 +475,11 @@ def test_every_lock_guards_declared_state(module, class_name, lock):
 
 
 # --------------------------------------------------------------------------- #
-# Every suppression and baseline entry names a rule that still runs
+# Every suppression names a rule that still runs
 # --------------------------------------------------------------------------- #
 def _suppression_sites():
-    """One case per rule id in a ``# repro: allow[...]`` comment, and per
-    baseline entry.  Only real comments count, not fixture strings."""
+    """One case per rule id in a ``# repro: allow[...]`` comment.  Only real
+    comments count, not fixture strings."""
     sites = []
     for root in ("src", "tests", "benchmarks"):
         for path in sorted((REPO_ROOT / root).rglob("*.py")):
@@ -640,9 +495,6 @@ def _suppression_sites():
                         sites.append(pytest.param(
                             rule_id.strip(),
                             id=f"{relative}:{token.start[0]}"))
-    for entry in load_baseline(REPO_ROOT / "analysis-baseline.txt"):
-        path, rule_id, _ = entry.split(KEY_SEPARATOR, 2)
-        sites.append(pytest.param(rule_id, id=f"baseline:{path}"))
     return sites
 
 

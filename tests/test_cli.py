@@ -249,7 +249,16 @@ class TestTrainCommand:
         )
         assert args.scale == "quick"
         assert args.epochs is None
-        assert not args.looped_negatives
+
+    def test_train_always_uses_fused_negatives(self, capsys):
+        """The looped reference path is a test oracle, not a CLI mode."""
+        from repro.experiments.cli import build_train_parser
+
+        with pytest.raises(SystemExit):
+            build_train_parser().parse_args(
+                ["--dataset", "gowalla", "--checkpoint", "ckpt.npz",
+                 "--looped-negatives"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_train_parser_rejects_unknown_dataset(self):
         from repro.experiments.cli import build_train_parser

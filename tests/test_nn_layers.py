@@ -105,9 +105,9 @@ class TestDropoutModule:
         layer.train()
         assert (layer(x).data == 0).sum() > 10
 
-    def test_invalid_ratio(self):
+    def test_invalid_ratio(self, rng):
         with pytest.raises(ValueError):
-            Dropout(1.5)
+            Dropout(1.5, rng=rng)
 
 
 class TestSequential:
@@ -163,3 +163,43 @@ class TestResidualFeedForward:
         block(x).sum().backward()
         assert x.grad is not None
         assert all(p.grad is not None for p in block.parameters())
+
+
+# --------------------------------------------------------------------------- #
+# Every randomly initialised layer draws from the caller's Generator
+# --------------------------------------------------------------------------- #
+def _seeded_layers():
+    """(name, factory taking ``rng=``) for every layer with random state."""
+    from repro.baselines.deepcross import _ResidualUnit
+    from repro.core.views import CrossView, DynamicView, StaticView
+    from repro.nn.attention import SelfAttention
+
+    return [
+        ("SelfAttention", lambda **kw: SelfAttention(4, **kw)),
+        ("Embedding", lambda **kw: Embedding(6, 4, **kw)),
+        ("Linear", lambda **kw: Linear(4, 3, **kw)),
+        ("ResidualFeedForward", lambda **kw: ResidualFeedForward(4, **kw)),
+        ("Dropout", lambda **kw: Dropout(0.5, **kw)),
+        ("StaticView", lambda **kw: StaticView(4, **kw)),
+        ("DynamicView", lambda **kw: DynamicView(4, **kw)),
+        ("CrossView", lambda **kw: CrossView(4, **kw)),
+        ("_ResidualUnit", lambda **kw: _ResidualUnit(4, 8, **kw)),
+    ]
+
+
+SEEDED_LAYERS = [pytest.param(factory, id=name) for name, factory in _seeded_layers()]
+
+
+@pytest.mark.parametrize("factory", SEEDED_LAYERS)
+def test_layer_requires_an_rng(factory):
+    """No unseeded fallback: a layer built without a Generator is an error."""
+    with pytest.raises(TypeError, match="rng"):
+        factory()
+
+
+@pytest.mark.parametrize("factory", SEEDED_LAYERS)
+def test_same_seed_builds_identical_weights(factory):
+    first = factory(rng=np.random.default_rng(11))
+    second = factory(rng=np.random.default_rng(11))
+    for left, right in zip(first.parameters(), second.parameters()):
+        np.testing.assert_array_equal(left.data, right.data)

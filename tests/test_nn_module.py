@@ -13,7 +13,7 @@ class _ToyModel(Module):
         super().__init__()
         self.linear = Linear(3, 2, rng=np.random.default_rng(0))
         self.extra = Parameter(np.zeros(4), name="extra")
-        self.blocks = [Linear(2, 2, rng=np.random.default_rng(1)), Dropout(0.5)]
+        self.blocks = [Linear(2, 2, rng=np.random.default_rng(1)), Dropout(0.5, rng=np.random.default_rng(2))]
 
     def forward(self, x):
         return self.blocks[0](self.linear(x))

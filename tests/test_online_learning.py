@@ -506,7 +506,6 @@ class TestModelLineage:
         lineage = ModelLineage(tmp_path, name="m")
         lineage.record(version(1))
         with pytest.raises(ValueError, match="MANIFEST_STATUSES"):
-            # repro: allow[protocol-completeness] — deliberately invalid
             lineage.record(ModelVersion(version=2, status="rolled-back",
                                         checkpoint=None, cursor_seq=0,
                                         parent=1, gate={}, examples=0))

@@ -24,8 +24,7 @@ from repro.serving import (
     ModelRegistry,
     RankRequest,
     UserSequenceStore,
-    predict_batch,
-    rank_topk_batch,
+    execute_batch,
     serve_jsonl,
 )
 
@@ -462,10 +461,10 @@ class TestRankTopkService:
             {"static_indices": [3, 0], "candidates": [20, 21]},
         ]
 
-    def test_rank_topk_batch_payload(self, model):
+    def test_rank_topk_serve_payload(self, model):
         registry = ModelRegistry()
         registry.register("m", model)
-        response = rank_topk_batch(registry, "m", self.payloads())
+        response = registry.serve("m", self.payloads(), head="rank-topk")
         assert response["head"] == "rank-topk"
         assert len(response["results"]) == 2
         assert len(response["results"][0]["candidates"]) == 2  # per-request k
@@ -477,29 +476,29 @@ class TestRankTopkService:
     def test_default_k_applies_to_bare_requests(self, model):
         registry = ModelRegistry()
         registry.register("m", model)
-        response = rank_topk_batch(registry, "m", self.payloads(), k=1)
+        response = registry.serve("m", self.payloads(), head="rank-topk", k=1)
         assert len(response["results"][0]["candidates"]) == 2  # request k wins
         assert len(response["results"][1]["candidates"]) == 1  # default applied
 
-    def test_predict_batch_delegates_rank_topk_head(self, model):
+    def test_execute_batch_delegates_rank_topk_head(self, model):
         registry = ModelRegistry()
         registry.register("m", model)
-        response = predict_batch(registry, "m", self.payloads(), head="rank-topk")
+        response = execute_batch(registry, "m", self.payloads(), head="rank-topk")
         assert response["head"] == "rank-topk" and "results" in response
 
-    def test_predict_batch_stats_carry_hit_rate(self, model):
+    def test_serve_stats_carry_hit_rate(self, model):
         registry = ModelRegistry()
         registry.register("m", model)
         payloads = [{"static_indices": [1, 2], "history": [1], "user_id": 3}] * 2
-        response = predict_batch(registry, "m", payloads)
+        response = registry.serve("m", payloads)
         assert response["stats"]["cache_hits"] == 1
         assert response["stats"]["cache_hit_rate"] == 0.5
 
-    def test_rank_topk_batch_rejects_empty(self, model):
+    def test_rank_topk_serve_rejects_empty(self, model):
         registry = ModelRegistry()
         registry.register("m", model)
         with pytest.raises(ValueError):
-            rank_topk_batch(registry, "m", [])
+            registry.serve("m", [], head="rank-topk")
 
     def test_serve_jsonl_rank_topk_head(self, model):
         registry = ModelRegistry()

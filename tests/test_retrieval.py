@@ -32,7 +32,6 @@ from repro.serving import (
     ModelRegistry,
     OrphanedIndexWarning,
     RecommendRequest,
-    recommend_batch,
     serve_jsonl,
 )
 
@@ -755,9 +754,9 @@ class TestRecommendService:
                            "history": history, "user_id": user, "k": 4})
         return result
 
-    def test_recommend_batch_payload(self, model, engine):
+    def test_recommend_serve_payload(self, model, engine):
         registry = self.make_registry(model)
-        response = recommend_batch(registry, "m", self.payloads())
+        response = registry.serve("m", self.payloads(), head="recommend")
         assert response["head"] == "recommend"
         assert len(response["results"]) == 3
         assert response["stats"]["catalog_size"] == NUM_ITEMS
@@ -767,17 +766,17 @@ class TestRecommendService:
         brute_ids, _ = engine.rank_topk(profile, CATALOG, 4, history)
         assert response["results"][0]["candidates"] == [int(i) for i in brute_ids]
 
-    def test_predict_batch_dispatches_recommend_head(self, model):
-        from repro.serving import predict_batch
+    def test_execute_batch_dispatches_recommend_head(self, model):
+        from repro.serving import execute_batch
 
         registry = self.make_registry(model)
-        response = predict_batch(registry, "m", self.payloads(), head="recommend")
+        response = execute_batch(registry, "m", self.payloads(), head="recommend")
         assert response["head"] == "recommend" and len(response["results"]) == 3
 
-    def test_recommend_batch_rejects_empty(self, model):
+    def test_recommend_serve_rejects_empty(self, model):
         registry = self.make_registry(model)
         with pytest.raises(ValueError):
-            recommend_batch(registry, "m", [])
+            registry.serve("m", [], head="recommend")
 
     def test_serve_jsonl_recommend_head(self, model):
         registry = self.make_registry(model)
@@ -803,7 +802,7 @@ class TestRecommendService:
     def test_eviction_count_surfaces_in_stats(self, model):
         """Satellite: CacheStats evictions must reach the response stats."""
         registry = self.make_registry(model, cache_capacity=1)
-        response = recommend_batch(registry, "m", self.payloads(3))
+        response = registry.serve("m", self.payloads(3), head="recommend")
         assert response["stats"]["cache_evictions"] >= 2
         assert registry.get("m").sequence_store.stats.evictions >= 2
 

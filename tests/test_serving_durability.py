@@ -294,18 +294,17 @@ class TestCrashRecovery:
         assert report["wal"]["records"] == 0      # close() compacts
         assert not report["wal"]["torn_tail"]
 
-    def test_log_reads_off_drops_touch_records(self, tmp_path):
+    def test_read_hits_are_journaled_as_touch_records(self, tmp_path):
         store = DurableSequenceStore(tmp_path, MAX_SEQ_LEN, capacity=8,
-                                     log_reads=False, fsync_every=1)
+                                     fsync_every=1)
         store.record(1, [1])
-        store.encode(1, [1])          # hit: would journal a touch
+        store.encode(1, [1])          # hit: journals a touch
+        store.encode_stored(1)        # hit: journals a touch
         store._wal.sync()
         scan = read_wal(tmp_path / "wal.jsonl")
-        assert all(record["op"] != "touch" for record in scan.records)
-        recovered = DurableSequenceStore(tmp_path, MAX_SEQ_LEN, capacity=8,
-                                         log_reads=False)
-        assert recovered.history(1) == store.history(1)
-        recovered.close()
+        assert [record["op"] for record in scan.records] == \
+            ["record", "touch", "touch"]
+        assert all(record["user"] == 1 for record in scan.records)
         store.close()
 
 

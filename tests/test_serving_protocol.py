@@ -28,9 +28,6 @@ from repro.serving import (
     UserSequenceStore,
     default_heads,
     parse_envelope,
-    predict_batch,
-    rank_topk_batch,
-    recommend_batch,
     serve_jsonl,
 )
 from repro.serving.protocol import (
@@ -192,7 +189,6 @@ class TestHeadRegistry:
                 return [-float(s) for s in batcher.score_all(requests)]
 
         heads = HeadRegistry([ScoringHead("score", "score"),
-                              # repro: allow[protocol-completeness] — test-local head
                               NegateHead("negate", "score")])
         plain = registry.get("golden").batcher(heads=heads)
         base = float(plain.score_all(
@@ -507,40 +503,6 @@ class TestModelRouting:
         assert len(responses[1]["result"]["candidates"]) == 1
         assert len(responses[2]["result"]["candidates"]) == 2
         assert summary.errors == 0 and summary.rows == 1 + 1 + 2
-
-
-# --------------------------------------------------------------------------- #
-# Deprecation shims
-# --------------------------------------------------------------------------- #
-class TestShimParity:
-    def test_predict_batch_matches_generic_serve(self):
-        # fresh registries: the deltas in the stats block depend on sequence
-        # store state, so parity needs identical starting conditions
-        payloads = [SCORE_PAYLOAD, {"static_indices": [2, 21], "history": [3]}]
-        via_shim = predict_batch(make_registry(), "golden", payloads, head="classify")
-        via_serve = make_registry().serve("golden", payloads, head="classify")
-        assert via_shim == via_serve
-
-    def test_rank_topk_batch_matches_generic_serve(self, registry):
-        payloads = [{"static_indices": [1, 0], "candidates": [10, 11, 12]}]
-        via_shim = rank_topk_batch(registry, "golden", payloads, k=2)
-        via_serve = registry.serve("golden", payloads, head="rank-topk", k=2)
-        assert via_shim == via_serve
-        assert via_shim["stats"]["candidates_ranked"] == 3
-
-    def test_recommend_batch_matches_generic_serve(self, registry):
-        payloads = [{"static_indices": [1, 0], "history": [1, 2], "k": 3}]
-        via_shim = recommend_batch(registry, "golden", payloads)
-        via_serve = registry.serve("golden", payloads, head="recommend")
-        assert via_shim == via_serve
-        assert via_shim["stats"]["catalog_size"] == len(CATALOG)
-
-    def test_shims_validate_like_the_protocol(self, registry):
-        with pytest.raises(ProtocolError):
-            rank_topk_batch(registry, "golden",
-                            [{"static_indices": [1], "candidates": [10], "k": 0}])
-        with pytest.raises(ValueError, match="no requests"):
-            predict_batch(registry, "golden", [])
 
 
 # --------------------------------------------------------------------------- #

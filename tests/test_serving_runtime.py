@@ -21,7 +21,6 @@ from repro.serving import (
     ModelRegistry,
     ScoreRequest,
     UserSequenceStore,
-    predict_batch,
     serve_jsonl,
 )
 
@@ -582,23 +581,23 @@ class TestService:
             for index in range(count)
         ]
 
-    def test_predict_batch_payload(self, model):
+    def test_serve_payload(self, model):
         registry = ModelRegistry()
         registry.register("m", model)
-        response = predict_batch(registry, "m", self.payloads(), head="classify",
-                                 max_batch_size=2)
+        response = registry.serve("m", self.payloads(), head="classify",
+                                  max_batch_size=2)
         assert response["model"] == "m" and response["head"] == "classify"
         assert len(response["scores"]) == 5
         assert all(0.0 < score < 1.0 for score in response["scores"])
         assert response["stats"]["batches"] >= 3  # 5 requests, flush at 2
 
-    def test_predict_batch_rejects_empty_and_bad_head(self, model):
+    def test_serve_rejects_empty_and_bad_head(self, model):
         registry = ModelRegistry()
         registry.register("m", model)
         with pytest.raises(ValueError):
-            predict_batch(registry, "m", [])
+            registry.serve("m", [])
         with pytest.raises(ValueError):
-            predict_batch(registry, "m", self.payloads(), head="frobnicate")
+            registry.serve("m", self.payloads(), head="frobnicate")
 
     def test_engine_rejects_out_of_range_indices(self, engine):
         batcher = MicroBatcher(engine.score, max_seq_len=CONFIG.max_seq_len)
