@@ -67,13 +67,13 @@ bench-online:
 #   make bench-record SEED=1
 SEED ?= 0
 bench-record:
-	python3 -m bench.run --seed $(SEED) --out bench/out/record_seed$(SEED).json
+	$(PYTHON) -m bench.run --seed $(SEED) --out bench/out/record_seed$(SEED).json
 
 # Two records, one verdict per (workload, end-to-end metric) from the
 # BENCHMARK.json bounds; exits 1 when any row is worse.
 #   make bench-compare BASE=parent.json NEW=bench/out/record_seed0.json
 bench-compare:
-	python3 -m bench.compare $(BASE) $(NEW)
+	$(PYTHON) -m bench.compare $(BASE) $(NEW)
 
 # Cold-start profile: the 15 costliest imports behind `import repro.serving`
 # (self | cumulative microseconds, costliest last).  What may appear there is

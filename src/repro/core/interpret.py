@@ -18,7 +18,7 @@ import numpy as np
 from repro.autograd.tensor import Tensor, no_grad
 from repro.core import masks as mask_lib
 from repro.core.model import SeqFM
-from repro.core.views import cross_attention_mask, cross_valid_mask
+from repro.core.views import cross_attention_mask, cross_valid_mask, dynamic_attention_mask
 from repro.data.features import FeatureBatch
 
 
@@ -63,10 +63,9 @@ def attention_maps(model: SeqFM, batch: FeatureBatch, index: int = 0) -> Attenti
 
         dynamic_weights = None
         if model.dynamic_view is not None:
-            causal = mask_lib.causal_mask(seq_len)[None]
-            padding = mask_lib.padding_key_mask(valid)
             dynamic_weights = model.dynamic_view.attention.attention_weights(
-                dynamic_embedded, mask=mask_lib.combine_masks(causal, padding)
+                dynamic_embedded,
+                mask=dynamic_attention_mask(mask_lib.padding_key_row(valid)),
             )[0]
 
         cross_weights = None

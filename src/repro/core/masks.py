@@ -62,7 +62,18 @@ def padding_key_mask(valid_mask: np.ndarray) -> np.ndarray:
     valid = np.asarray(valid_mask, dtype=np.float64)
     if valid.ndim != 2:
         raise ValueError("valid_mask must have shape (batch, seq_len)")
-    return np.where(valid[:, None, :] > 0, 0.0, NEG_INF)
+    return padding_key_row(valid)[:, None, :]
+
+
+def padding_key_row(valid_mask: np.ndarray) -> np.ndarray:
+    """The rows of :func:`padding_key_mask` without the query axis: 0 at a valid
+    position, NEG_INF at padding, one row per batch entry.
+
+    Every key mask of the dynamic and cross views is assembled from this row
+    (:mod:`repro.core.views`), so a caller that needs several of them builds it
+    once per batch and passes it on.
+    """
+    return np.where(np.asarray(valid_mask) > 0, 0.0, NEG_INF)
 
 
 def combine_masks(*masks: np.ndarray) -> np.ndarray:

@@ -27,12 +27,13 @@ from repro.nn.module import Module
 # Mask and pooling-weight assembly shared by the autograd views below and the
 # graph-free serving engine (repro.serving.engine) — keep a single source of
 # truth for which feature pairs each view may attend to and how its rows pool.
+# Key masks are built from the batch's padding key row
+# (repro.core.masks.padding_key_row), made once per batch by the caller.
 # --------------------------------------------------------------------------- #
-def dynamic_attention_mask(seq_len: int, valid_mask: np.ndarray) -> np.ndarray:
+def dynamic_attention_mask(key_row: np.ndarray) -> np.ndarray:
     """Per-batch mask of the dynamic view: causal + padding keys (Eq. 10)."""
-    causal = mask_lib.causal_mask(seq_len)[None, :, :]
-    padding = mask_lib.padding_key_mask(valid_mask)
-    return mask_lib.combine_masks(causal, padding)
+    causal = mask_lib.causal_mask(key_row.shape[-1])
+    return mask_lib.combine_masks(causal, key_row[:, None, :])
 
 
 def cross_valid_mask(num_static: int, valid_mask: np.ndarray) -> np.ndarray:
@@ -54,12 +55,11 @@ def cross_attention_mask(
     return mask_lib.combine_masks(cross, padding)
 
 
-def cross_static_mask(num_static: int, valid_mask: np.ndarray) -> np.ndarray:
+def cross_static_mask(num_static: int, key_row: np.ndarray) -> np.ndarray:
     """The static query rows of :func:`cross_attention_mask`, ``(batch, 1, T)``:
     all n° are one row — static keys blocked, history keys open where valid."""
-    valid = np.asarray(valid_mask, dtype=np.float64)
-    blocked = np.zeros((valid.shape[0], num_static), dtype=np.float64)
-    return mask_lib.padding_key_mask(np.concatenate([blocked, valid], axis=1))
+    blocked = np.full((key_row.shape[0], num_static), mask_lib.NEG_INF)
+    return np.concatenate([blocked, key_row], axis=1)[:, None, :]
 
 
 def mean_pool_weights(valid_mask: np.ndarray) -> np.ndarray:
@@ -68,18 +68,18 @@ def mean_pool_weights(valid_mask: np.ndarray) -> np.ndarray:
     return valid / np.maximum(valid.sum(axis=-1, keepdims=True), 1.0)
 
 
-def dynamic_query_rows(queries, valid_mask: np.ndarray, pooling: str):
+def dynamic_query_rows(queries, valid_mask: np.ndarray, key_row: np.ndarray, pooling: str):
     """The dynamic view's pooled query rows, their mask and pooling weights.
 
     ``"mean"`` pools every valid row of the causal attention; ``"last"``
     keeps the final position, so only that query row attends (the causal mask
-    leaves it every non-padding key).  ``queries``: array or :class:`Tensor`.
+    leaves it every non-padding key).  ``queries``: array or :class:`Tensor`;
+    ``key_row`` is ``padding_key_row(valid_mask)``.
     """
     if pooling == "last":
-        return (queries[:, -1:, :], mask_lib.padding_key_mask(valid_mask),
+        return (queries[:, -1:, :], key_row[:, None, :],
                 np.ones((queries.shape[0], 1), dtype=np.float64))
-    return (queries, dynamic_attention_mask(queries.shape[-2], valid_mask),
-            mean_pool_weights(valid_mask))
+    return queries, dynamic_attention_mask(key_row), mean_pool_weights(valid_mask)
 
 
 class StaticView(Module):
@@ -109,7 +109,9 @@ class DynamicView(Module):
     def forward(self, dynamic_embeddings: Tensor, valid_mask: np.ndarray) -> Tensor:
         """``dynamic_embeddings``: (batch, n_dyn, d); ``valid_mask``: (batch, n_dyn)."""
         queries, keys, values = self.attention.project(dynamic_embeddings)
-        queries, mask, row_weights = dynamic_query_rows(queries, valid_mask, self.pooling)
+        queries, mask, row_weights = dynamic_query_rows(
+            queries, valid_mask, mask_lib.padding_key_row(valid_mask), self.pooling
+        )
         return F.pooled_attention(queries, keys, values, row_weights, mask=mask)
 
 
@@ -138,6 +140,6 @@ class CrossView(Module):
             self.attention.project(candidates),
             self.attention.project(dynamic_embeddings),
             mean_pool_weights(cross_valid_mask(num_static, valid_mask))[:, None],
-            cross_static_mask(num_static, valid_mask)[:, None],
+            cross_static_mask(num_static, mask_lib.padding_key_row(valid_mask))[:, None],
         )  # (groups, tile, d)
         return pooled.swapaxes(0, 1).reshape(-1, dim)

@@ -4,10 +4,11 @@ The autograd layer (:mod:`repro.autograd.functional`) wraps every operation in
 :class:`~repro.autograd.tensor.Tensor` nodes so gradients can flow backwards.
 Inference does not need any of that bookkeeping, so the serving engine
 (:mod:`repro.serving.engine`) evaluates the model with the plain-array kernels
-in this module instead.  Each kernel mirrors its autograd counterpart
-*operation for operation* — same order, same constants, same numerical tricks
-— so a graph-free forward pass agrees with ``SeqFM.score`` to rounding, not
-bitwise: two call sites may batch rows differently, and BLAS sums accordingly.
+in this module instead.  Each kernel computes the formula of its autograd
+counterpart — same constants, same numerical tricks, and the same order of
+operations unless its docstring says otherwise (:func:`layer_norm`) — so a
+graph-free forward pass agrees with ``SeqFM.score`` to rounding, not bitwise:
+two call sites may batch rows differently, and BLAS sums accordingly.
 
 Keep the two in lock-step: any change to the math in
 :mod:`repro.autograd.functional` must be reflected here.  The tests enforce
@@ -312,12 +313,16 @@ def layer_norm(
 ) -> np.ndarray:
     """Layer normalisation over the last axis (Eq. 16).
 
-    Mirrors :func:`repro.autograd.functional.layer_norm`.
+    The formula of :func:`repro.autograd.functional.layer_norm` — centre on
+    the mean, divide by ``(variance + eps)^½``, scale and shift — but not its
+    operations: both means are one GEMV against a ``1/d`` vector, because at
+    the few rows of a serving call ``ndarray.mean`` is mostly Python overhead.
+    The sums round differently; the tests hold the two to 1e-12.
     """
-    mean = x.mean(axis=-1, keepdims=True)
-    centred = x - mean
-    variance = (centred * centred).mean(axis=-1, keepdims=True)
-    normalised = centred / (variance + eps) ** 0.5
+    inverse_dim = np.full(x.shape[-1], 1.0 / x.shape[-1])
+    centred = x - (x @ inverse_dim)[..., None]
+    variance = (centred * centred) @ inverse_dim
+    normalised = centred / ((variance + eps) ** 0.5)[..., None]
     return normalised * scale + bias
 
 

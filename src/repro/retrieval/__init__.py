@@ -22,7 +22,7 @@ answers with the catalog's top-K.
 * :class:`~repro.retrieval.pipeline.RetrievePipeline` — retrieve → rank:
   index sweep to ``n_retrieve`` candidates, exact fast-path re-rank to top-K.
 
-Wired through every serving layer: ``InferenceEngine.retrieve`` /
+Wired through every serving layer: ``RetrievePipeline.retrieve`` /
 ``retrieve_then_rank``, the ``MicroBatcher`` recommend head,
 ``ModelRegistry`` index build/save/load + ``recommend``, the ``recommend``
 service head, and the ``build-index`` / ``recommend`` CLI subcommands.

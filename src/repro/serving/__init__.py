@@ -43,7 +43,7 @@ instead of once per candidate, with 1e-10 parity to the per-candidate loop.
 On top of ranking sits **two-stage retrieval** (:mod:`repro.retrieval`):
 an :class:`~repro.retrieval.index.ItemIndex` snapshot of the catalog answers
 candidate-*free* requests — index sweep to an ``n_retrieve`` shortlist, exact
-fast-path re-rank to top-K — via ``InferenceEngine.retrieve_then_rank``, the
+fast-path re-rank to top-K — via ``RetrievePipeline.retrieve_then_rank``, the
 ``MicroBatcher`` recommend head, ``ModelRegistry.build_index``/``recommend``
 and the ``recommend`` service head / CLI subcommand.
 

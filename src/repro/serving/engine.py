@@ -8,7 +8,8 @@ paper — directly on the model's parameter arrays with the pure-NumPy kernels
 in :mod:`repro.nn.kernels` and the mask builders in :mod:`repro.core.views`.
 Nothing is duplicated: every view is one pooled-attention kernel call, the
 same for per-row histories (``score``) and one user's history shared by C
-candidates (``rank_candidates``), so engine output matches
+candidates (``rank_candidates``), and the shared residual network is one pass
+over all views' rows stacked, so engine output matches
 :meth:`repro.core.model.SeqFM.score` to rounding (the test suite asserts
 1e-10).
 
@@ -24,6 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.masks import padding_key_row
 from repro.core.model import SeqFM
 from repro.core.views import (
     cross_static_mask,
@@ -113,7 +115,7 @@ class InferenceEngine:
     @staticmethod
     def _check_index_array(name: str, indices: np.ndarray, vocab: int) -> None:
         indices = np.asarray(indices)
-        if not np.issubdtype(indices.dtype, np.integer):
+        if indices.dtype.kind not in "iu":
             # float/bool arrays fancy-index weight tables without error (bool
             # even changes meaning, selecting rows 0/1) — reject them outright.
             raise TypeError(
@@ -202,7 +204,7 @@ class InferenceEngine:
             dynamic_embedded = model.dynamic_embedding.weight.data[dynamic]  # (1, n, d)
 
         if model.dynamic_view is not None:
-            pooled = self._dynamic_view(dynamic_embedded, mask)
+            pooled = self._dynamic_view(dynamic_embedded, mask, padding_key_row(mask))
             view_index = 1 if model.static_view is not None else 0
             dynamic_refined = self._apply_ffn(pooled, view_index)
 
@@ -265,26 +267,28 @@ class InferenceEngine:
         linear = model.global_bias.data + static_weights + plan.dynamic_linear_sum
 
         # --- Interaction term --------------------------------------------
+        # Only the static and cross views depend on the candidate; _refine
+        # runs their C rows each through the shared network as one (2C, d) block.
         static_embedded = model.static_embedding.weight.data[static_full]  # (C, n°, d)
-        refined: List[np.ndarray] = []
-        view_index = 0
+        pooled: List[np.ndarray] = []
+        view_indices: List[int] = []
         if model.static_view is not None:
-            refined.append(self._apply_ffn(self._static_view(static_embedded), view_index))
-            view_index += 1
-        if model.dynamic_view is not None:
-            refined.append(
-                np.broadcast_to(
-                    plan.dynamic_refined, (num_candidates, plan.dynamic_refined.shape[-1])
-                )
-            )
-            view_index += 1
+            pooled.append(self._static_view(static_embedded))
+            view_indices.append(0)
         if model.cross_view is not None:
-            pooled = self._cross_view(
+            pooled.append(self._cross_view(
                 static_embedded,
                 (plan.cross_q_dyn, plan.cross_k_dyn, plan.cross_v_dyn),
                 plan.dynamic_mask,
-            )
-            refined.append(self._apply_ffn(pooled, view_index))
+                padding_key_row(plan.dynamic_mask),
+            ))
+            view_indices.append(self.config.num_views() - 1)
+        refined = self._refine(pooled, view_indices)
+        if model.dynamic_view is not None:
+            # view order is static, dynamic, cross
+            refined.insert(int(model.static_view is not None), np.broadcast_to(
+                plan.dynamic_refined, (num_candidates, plan.dynamic_refined.shape[-1])
+            ))
 
         aggregated = np.concatenate(refined, axis=-1)
         return linear + aggregated @ model.projection.data
@@ -314,59 +318,6 @@ class InferenceEngine:
         return candidates[order].astype(np.int64, copy=False), scores[order]
 
     # ------------------------------------------------------------------ #
-    # Two-stage retrieval (candidate generation + re-rank)
-    # ------------------------------------------------------------------ #
-    def retrieve(
-        self,
-        searcher,
-        static_profile: Sequence[int],
-        history: Sequence[int] = (),
-        n: int = 100,
-        history_mask: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Candidate generation: top-``n`` catalog items from an item index.
-
-        ``searcher`` is an :class:`~repro.retrieval.index.ExactIndex` or
-        :class:`~repro.retrieval.index.IVFIndex` over a snapshot of *this*
-        model's catalog.  The user's query is the per-user linear surrogate of
-        :class:`~repro.retrieval.query.QueryEncoder`; returns
-        ``(item_ids, surrogate_scores)`` best first.  For the full two-stage
-        request use :meth:`retrieve_then_rank`.
-        """
-        from repro.retrieval.pipeline import RetrievePipeline
-
-        pipeline = RetrievePipeline(self, searcher, n_retrieve=max(1, n))
-        result = pipeline.retrieve(static_profile, history, n=n,
-                                   history_mask=history_mask)
-        return result.candidates, result.scores
-
-    def retrieve_then_rank(
-        self,
-        searcher,
-        static_profile: Sequence[int],
-        k: int,
-        history: Sequence[int] = (),
-        n_retrieve: Optional[int] = None,
-        history_mask: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Two-stage recommendation: index shortlist, exact top-``k`` re-rank.
-
-        One :class:`RankingPlan` is shared by the query encoder and the
-        re-ranker, so the per-user model work happens once.  Returns
-        ``(item_ids, exact_scores)`` best first — the same contract as
-        :meth:`rank_topk`, with the candidate list found by the index instead
-        of supplied by the caller.
-        """
-        from repro.retrieval.pipeline import RetrievePipeline
-
-        pipeline = RetrievePipeline(self, searcher)
-        ranked = pipeline.retrieve_then_rank(
-            static_profile, k, history, n_retrieve=n_retrieve,
-            history_mask=history_mask,
-        )
-        return ranked.candidates, ranked.scores
-
-    # ------------------------------------------------------------------ #
     # Forward components (mirror SeqFM._linear_term/_interaction_term)
     # ------------------------------------------------------------------ #
     def _linear_term(self, batch: FeatureBatch) -> np.ndarray:
@@ -380,23 +331,22 @@ class InferenceEngine:
         model = self._model
         static_embedded = model.static_embedding.weight.data[batch.static_indices]
         dynamic_embedded = model.dynamic_embedding.weight.data[batch.dynamic_indices]
+        valid = batch.dynamic_mask
+        key_row = padding_key_row(valid)
 
         pooled_views: List[np.ndarray] = []
         if model.static_view is not None:
             pooled_views.append(self._static_view(static_embedded))
         if model.dynamic_view is not None:
-            pooled_views.append(
-                self._dynamic_view(dynamic_embedded, batch.dynamic_mask)
-            )
+            pooled_views.append(self._dynamic_view(dynamic_embedded, valid, key_row))
         if model.cross_view is not None:
             history_qkv = self._project(model.cross_view.attention, dynamic_embedded)
             pooled_views.append(
-                self._cross_view(static_embedded, history_qkv, batch.dynamic_mask)
+                self._cross_view(static_embedded, history_qkv, valid, key_row)
             )
 
-        refined = [self._apply_ffn(view, index) for index, view in enumerate(pooled_views)]
-        aggregated = np.concatenate(refined, axis=-1)
-        return aggregated @ model.projection.data
+        refined = self._refine(pooled_views, range(len(pooled_views)))
+        return np.concatenate(refined, axis=-1) @ model.projection.data
 
     @staticmethod
     def _project(attention: SelfAttention, features: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -409,10 +359,14 @@ class InferenceEngine:
         row_weights = np.full(queries.shape[:-1], 1.0 / queries.shape[-2])
         return kernels.pooled_attention(queries, keys, values, row_weights)
 
-    def _dynamic_view(self, dynamic_embedded: np.ndarray, valid_mask: np.ndarray) -> np.ndarray:
+    def _dynamic_view(
+        self, dynamic_embedded: np.ndarray, valid_mask: np.ndarray, key_row: np.ndarray
+    ) -> np.ndarray:
         view = self._model.dynamic_view
         queries, keys, values = self._project(view.attention, dynamic_embedded)
-        queries, mask, row_weights = dynamic_query_rows(queries, valid_mask, view.pooling)
+        queries, mask, row_weights = dynamic_query_rows(
+            queries, valid_mask, key_row, view.pooling
+        )
         return kernels.pooled_attention(queries, keys, values, row_weights, mask=mask)
 
     def _cross_view(
@@ -420,16 +374,34 @@ class InferenceEngine:
         static_embedded: np.ndarray,
         history_qkv: Tuple[np.ndarray, ...],
         valid_mask: np.ndarray,
+        key_row: np.ndarray,
     ) -> np.ndarray:
-        """``history_qkv``/``valid_mask`` are per row (:meth:`score`) or one
-        user's ``(n, d)`` / ``(1, n)`` shared by the ``(C, n°, d)`` candidates."""
+        """``history_qkv``/``valid_mask``/``key_row`` are per row (:meth:`score`)
+        or one user's ``(n, d)`` / ``(1, n)`` shared by the ``(C, n°, d)``
+        candidates."""
         num_static = static_embedded.shape[-2]
         return kernels.pooled_cross_attention(
             self._project(self._model.cross_view.attention, static_embedded),
             history_qkv,
             mean_pool_weights(cross_valid_mask(num_static, valid_mask)),
-            cross_static_mask(num_static, valid_mask),
+            cross_static_mask(num_static, key_row),
         )
+
+    def _refine(
+        self, pooled_views: List[np.ndarray], view_indices: Sequence[int]
+    ) -> List[np.ndarray]:
+        """The residual network over each pooled ``(rows, d)`` view (Eq. 15-17).
+
+        The paper's network is shared by all views, so it runs once, on the
+        views stacked along rows as ``(V·rows, d)``, and is split back per
+        view; ``share_ffn=False`` runs each view through its own network.
+        """
+        model = self._model
+        if model.shared_ffn is not None and len(pooled_views) > 1:
+            rows, dim = pooled_views[0].shape
+            stacked = self._ffn_forward(model.shared_ffn, np.concatenate(pooled_views))
+            return list(stacked.reshape(len(pooled_views), rows, dim))
+        return [self._apply_ffn(view, index) for index, view in zip(view_indices, pooled_views)]
 
     def _apply_ffn(self, pooled: np.ndarray, view_index: int) -> np.ndarray:
         model = self._model

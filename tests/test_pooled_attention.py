@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.autograd import Tensor, check_gradients
 from repro.autograd import functional as F
 from repro.core.config import SeqFMConfig
+from repro.core.masks import padding_key_row
 from repro.core.tasks import SeqFMRanker
 from repro.core.views import (
     cross_attention_mask,
@@ -65,7 +66,7 @@ def pooled_cross_view(static, history, valid, weights):
         kernels.project_qkv(static, *weights),
         kernels.project_qkv(history, *weights),
         mean_pool_weights(cross_valid_mask(num_static, valid)),
-        cross_static_mask(num_static, valid),
+        cross_static_mask(num_static, padding_key_row(valid)),
     )
 
 
@@ -105,10 +106,10 @@ class TestPooledKernelsMatchDenseReference:
         if ranking:
             static, history, valid = static[0], history[0], valid[:1]
             row_weights = mean_pool_weights(cross_valid_mask(num_static, valid))
-            static_mask = cross_static_mask(num_static, valid)
+            static_mask = cross_static_mask(num_static, padding_key_row(valid))
         else:
             row_weights = mean_pool_weights(cross_valid_mask(num_static, valid))[:, None]
-            static_mask = cross_static_mask(num_static, valid)[:, None]
+            static_mask = cross_static_mask(num_static, padding_key_row(valid))[:, None]
         grouped = kernels.pooled_cross_attention(
             kernels.project_qkv(static, *weights), kernels.project_qkv(history, *weights),
             row_weights, static_mask)
@@ -125,7 +126,8 @@ class TestPooledKernelsMatchDenseReference:
         static, history, valid, _ = inputs
         num_static, seq_len = static.shape[-2], history.shape[-2]
         dense = cross_attention_mask(num_static, seq_len, cross_valid_mask(num_static, valid))
-        rows = np.broadcast_to(cross_static_mask(num_static, valid), dense[:, :num_static].shape)
+        rows = np.broadcast_to(cross_static_mask(num_static, padding_key_row(valid)),
+                               dense[:, :num_static].shape)
         np.testing.assert_array_equal(rows, dense[:, :num_static])
 
     @SETTINGS
@@ -134,10 +136,11 @@ class TestPooledKernelsMatchDenseReference:
         _, history, valid, weights = inputs
         queries, keys, values = kernels.project_qkv(history, *weights)
         attended = kernels.scaled_dot_product_attention(
-            queries, keys, values, mask=dynamic_attention_mask(history.shape[-2], valid))
+            queries, keys, values, mask=dynamic_attention_mask(padding_key_row(valid)))
         dense = (attended[:, -1, :] if pooling == "last"
                  else kernels.masked_mean_pool(attended, valid))
-        rows, mask, row_weights = dynamic_query_rows(queries, valid, pooling)
+        rows, mask, row_weights = dynamic_query_rows(
+            queries, valid, padding_key_row(valid), pooling)
         np.testing.assert_allclose(
             kernels.pooled_attention(rows, keys, values, row_weights, mask=mask),
             dense, rtol=0.0, atol=1e-12)
@@ -167,7 +170,7 @@ class TestTensorTwins:
 
     def test_pooled_attention_gradients(self, rng):
         weigh = Tensor(rng.normal(size=(2, 4)))
-        mask = dynamic_attention_mask(3, self.VALID)
+        mask = dynamic_attention_mask(padding_key_row(self.VALID))
         row_weights = mean_pool_weights(self.VALID)
         inputs = self._tensors(rng, (2, 3, 4), (2, 3, 4), (2, 3, 4))
 
@@ -180,6 +183,22 @@ class TestTensorTwins:
             F.pooled_attention(*inputs, row_weights, mask=mask).data,
             kernels.pooled_attention(*(t.data for t in inputs), row_weights, mask=mask),
             rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [1, 3, 200])
+    def test_layer_norm_matches_twin(self, rng, rows):
+        """The GEMV-mean kernel against ``F.layer_norm``.  Row 0 is constant:
+        its variance is 0, so only eps is left and the row maps to the bias.
+        eps = 1e-8 amplifies any rounding of that row's mean by 1e4, so the
+        row is one whose mean both sides compute exactly (3 · 1/16 and its
+        partial sums are dyadic)."""
+        dim = 16
+        x = rng.normal(size=(rows, dim))
+        x[0] = 3.0
+        scale, bias = rng.normal(size=dim), rng.normal(size=dim)
+        expected = F.layer_norm(Tensor(x), Tensor(scale), Tensor(bias)).data
+        actual = kernels.layer_norm(x, scale, bias)
+        np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(actual[0], bias)
 
     # static (..., C, n°, d), history (..., n˙, d), its validity rows, and
     # whether the masks take a C axis: per row, (groups, C) grouped, ranking.
@@ -194,7 +213,7 @@ class TestTensorTwins:
         static_shape, history_shape, valid, candidate_axis = self.CROSS_FORMS[form]
         weigh = Tensor(rng.normal(size=static_shape[:-2] + (4,)))
         row_weights = mean_pool_weights(cross_valid_mask(2, valid))
-        static_mask = cross_static_mask(2, valid)
+        static_mask = cross_static_mask(2, padding_key_row(valid))
         if candidate_axis:
             row_weights, static_mask = row_weights[:, None], static_mask[:, None]
         inputs = self._tensors(rng, *[static_shape] * 3, *[history_shape] * 3)

@@ -542,18 +542,17 @@ class TestRetrievePipeline:
         np.testing.assert_array_equal(ranked.candidates, brute_ids)
         np.testing.assert_allclose(ranked.scores, brute_scores, rtol=0, atol=1e-10)
 
-
-class TestEngineEndpoints:
-    def test_retrieve_and_retrieve_then_rank(self, engine, index):
+    def test_per_request_shortlist_sizes(self, engine, index):
+        """``n`` / ``n_retrieve`` given per call override the pipeline default."""
+        pipeline = RetrievePipeline(engine, ExactIndex(index), n_retrieve=3)
         profile, history = user_request()
-        ids, scores = engine.retrieve(ExactIndex(index), profile, history, n=9)
-        assert ids.shape == (9,) and scores.shape == (9,)
-        top, top_scores = engine.retrieve_then_rank(
-            ExactIndex(index), profile, 4, history, n_retrieve=index.num_items
-        )
+        shortlist = pipeline.retrieve(profile, history, n=9)
+        assert shortlist.candidates.shape == (9,) and shortlist.scores.shape == (9,)
+        ranked = pipeline.retrieve_then_rank(profile, 4, history,
+                                             n_retrieve=index.num_items)
         brute_ids, brute_scores = engine.rank_topk(profile, CATALOG, 4, history)
-        np.testing.assert_array_equal(top, brute_ids)
-        np.testing.assert_allclose(top_scores, brute_scores, rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(ranked.candidates, brute_ids)
+        np.testing.assert_allclose(ranked.scores, brute_scores, rtol=0, atol=1e-10)
 
 
 # --------------------------------------------------------------------------- #

@@ -68,11 +68,13 @@ ABLATIONS = [
 
 
 class TestEngineParity:
+    @pytest.mark.parametrize("batch_size", [1, 12])
     @pytest.mark.parametrize("overrides", ABLATIONS)
-    def test_score_matches_model_score(self, overrides):
+    def test_score_matches_model_score(self, overrides, batch_size):
+        """B=1 is the shape of one serve line; B=12 mixes history lengths."""
         config = SeqFMConfig(**{**BASE, **overrides})
         model = trained_like(config)
-        batch = random_batch(config, batch_size=12)
+        batch = random_batch(config, batch_size=batch_size)
         expected = model.score(batch)
         actual = InferenceEngine(model).score(batch)
         np.testing.assert_allclose(actual, expected, rtol=0.0, atol=ATOL)
@@ -139,11 +141,12 @@ class TestEngineParity:
         for name, value in model.state_dict().items():
             np.testing.assert_array_equal(value, state_before[name])
 
-    def test_all_padding_rows_are_finite(self):
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    def test_all_padding_rows_are_finite(self, batch_size):
         """Fully-padded histories must not produce NaNs (uniform-softmax rows)."""
         config = SeqFMConfig(**BASE)
         model = trained_like(config)
-        batch = random_batch(config, batch_size=4)
+        batch = random_batch(config, batch_size=batch_size)
         batch.dynamic_indices[0, :] = 0
         batch.dynamic_mask[0, :] = 0.0
         scores = InferenceEngine(model).score(batch)
