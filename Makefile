@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint bench bench-train bench-rank bench-retrieve bench-serve bench-durability bench-online bench-record bench-compare import-time docs-check all
+.PHONY: test lint bench bench-record bench-compare import-time docs-check all
 
 # Tier-1 test suite (the acceptance gate for every PR).
 test:
@@ -22,45 +22,11 @@ lint:
 		echo "lint: ruff not installed; skipped (CI runs it)"; \
 	fi
 
-# Benchmark suite: regenerates the paper's tables/figures and the serving
-# throughput reports into results/*.txt (includes bench-train and bench-rank).
+# Paper reproductions: regenerates the paper's tables and figures (and the
+# complexity report) into results/*.txt.  The tables and Figure 3 series are
+# committed; the Figure 4 and complexity timing reports are git-ignored.
 bench:
 	$(PYTHON) -m pytest benchmarks/ -q
-
-# Training-throughput benchmark only: looped vs fused negative sampling
-# (writes results/training_throughput.txt).
-bench-train:
-	$(PYTHON) -m pytest benchmarks/test_training_throughput.py -q
-
-# Candidate-ranking benchmark only: naive per-candidate scoring vs the
-# rank_candidates fast path (writes results/ranking_throughput.txt).
-bench-rank:
-	$(PYTHON) -m pytest benchmarks/test_ranking_throughput.py -q
-
-# Retrieval benchmark only: exact vs IVF search throughput + recall@100, and
-# the end-to-end retrieve->rank pipeline vs brute-force full-catalog ranking
-# (writes results/retrieval_throughput.txt).
-bench-retrieve:
-	$(PYTHON) -m pytest benchmarks/test_retrieval_throughput.py -q
-
-# Serving benchmark only: single vs batched vs cached request throughput, and
-# the generic HeadRegistry dispatcher vs the hardcoded serving path (<5%
-# overhead asserted; writes results/serving_throughput.txt and
-# results/serving_protocol_overhead.txt).
-bench-serve:
-	$(PYTHON) -m pytest benchmarks/test_serving_throughput.py -q
-
-# Durability benchmark only: WAL-on vs WAL-off serving throughput (the
-# <90 us/line WAL cost budget) and crash-recovery time at a 100k-event log (writes
-# results/serving_durability.txt).
-bench-durability:
-	$(PYTHON) -m pytest benchmarks/test_serving_durability.py -q
-
-# Online-learning benchmark only: log-to-gradient throughput (WAL tail +
-# example build, events/s floor asserted) and the end-to-end retrain wall
-# time at a 100k-event log (writes results/online_learning.txt).
-bench-online:
-	$(PYTHON) -m pytest benchmarks/test_online_learning.py -q
 
 # Benchmark of record (BENCHMARK.json, bench/README.md): run all six workloads,
 # untraced then traced, and write one machine-readable record.

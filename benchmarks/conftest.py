@@ -7,9 +7,9 @@ reported values; absolute agreement is not expected (different data scale and
 substrate), but the qualitative shape — who wins, roughly by how much — is
 asserted where the paper's claim is specific.
 
-Run with::
+Run with ``make bench``, or::
 
-    pytest benchmarks/ --benchmark-only
+    python -m pytest benchmarks/ -q
 """
 
 from __future__ import annotations

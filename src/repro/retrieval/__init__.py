@@ -26,8 +26,9 @@ Wired through every serving layer: ``RetrievePipeline.retrieve`` /
 ``retrieve_then_rank``, the ``MicroBatcher`` recommend head,
 ``ModelRegistry`` index build/save/load + ``recommend``, the ``recommend``
 service head, and the ``build-index`` / ``recommend`` CLI subcommands.
-``benchmarks/test_retrieval_throughput.py`` (``make bench-retrieve``)
-measures exact vs IVF throughput and recall@100 up to 100k-item catalogs.
+``tests/test_retrieval.py`` holds IVF recall@100 and brute-force parity; the
+``serve_recommend`` workload of the benchmark of record (``bench/README.md``)
+times the recommend head over a 20 000-item IVF index.
 """
 
 from repro.retrieval.index import (

@@ -26,8 +26,8 @@ Two search backends share the contract:
 * :class:`IVFIndex` — the inverted file over the index's partitions; queries
   probe the ``n_probe`` partitions whose centroids score highest, trading
   recall for a catalog-sublinear scan.  Recall against :class:`ExactIndex` is
-  measured, not assumed (:func:`recall_at`,
-  ``benchmarks/test_retrieval_throughput.py``).
+  measured, not assumed (:func:`recall_at`, ``tests/test_retrieval.py``); the
+  ``serve_recommend`` workload of ``bench/README.md`` times the search.
 
 Both backends order results by ``(-score, catalog position)``; item ids are
 sorted at build time, so at ``n_probe = n_partitions`` the IVF result is
@@ -462,7 +462,10 @@ class IVFIndex:
     — the operating point the recall tests pin at ≥ 0.95 recall@100 on
     synthetic catalogs.  ``n_probe = n_partitions`` scans every partition and
     returns *exactly* the :class:`ExactIndex` result (parity-tested), so the
-    trade-off dial goes all the way to "off".
+    trade-off dial goes all the way to "off".  When the probed partitions
+    hold fewer than ``n`` members, probing continues in centroid order until
+    they hold ``min(n, n_items)``: IVF never answers fewer items than exact
+    search.
     """
 
     def __init__(
@@ -503,8 +506,8 @@ class IVFIndex:
         # flops it saves.  (One extra copy of the catalog matrix, accepted.)
         order = np.argsort(self._assignments, kind="stable")
         self._members = order.astype(np.int64)
-        counts = np.bincount(self._assignments, minlength=self.n_partitions)
-        self._offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        self._counts = np.bincount(self._assignments, minlength=self.n_partitions)
+        self._offsets = np.concatenate([[0], np.cumsum(self._counts)]).astype(np.int64)
         self._partition_major_vectors = np.ascontiguousarray(index.vectors[self._members])
 
     @property
@@ -519,7 +522,8 @@ class IVFIndex:
         partition_offsets: Optional[np.ndarray] = None,
         n_probe: Optional[int] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Top-``n`` items from the ``n_probe`` best partitions.
+        """Top-``n`` items from the ``n_probe`` best partitions (more
+        partitions when those hold fewer than ``n`` members).
 
         ``n_probe`` overrides the instance default per call (the recall/latency
         dial).  Results are ordered by ``(-score, catalog position)`` — the
@@ -546,6 +550,13 @@ class IVFIndex:
         if offsets is not None:
             centroid_scores = centroid_scores + offsets
         probed = kernels.top_k(centroid_scores, probe)
+        need = min(n, self._members.size)
+        if self._counts[probed].sum() < need:
+            # The best partitions hold fewer than n members: keep probing in
+            # centroid order, so IVF answers as many items as exact search.
+            ranked = kernels.top_k(centroid_scores, self.n_partitions)
+            covered = np.cumsum(self._counts[ranked])
+            probed = ranked[: int(np.searchsorted(covered, need)) + 1]
         position_chunks = []
         score_chunks = []
         for partition in probed:

@@ -15,8 +15,8 @@ k ≈ √N:
   to the probed partitions);
 * re-rank — ``O(C)`` exact candidate scores through the fast path.
 
-versus ``O(N)`` exact candidate scores for single-stage ranking — the gap the
-retrieval benchmark (``make bench-retrieve``) measures.  With an
+versus ``O(N)`` exact candidate scores for single-stage ranking; the
+``serve_recommend`` workload of ``bench/README.md`` times the pipeline.  With an
 :class:`~repro.retrieval.index.ExactIndex` backend and ``n_retrieve ≥ N`` the
 pipeline degenerates to exact full-catalog ranking (the 1e-10 parity oracle
 in the tests); narrowing ``n_retrieve`` trades that guarantee for speed,

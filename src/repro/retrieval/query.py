@@ -36,8 +36,8 @@ pseudo-inverted once, at construction) — independent of catalog size.
 The surrogate is a retrieval heuristic, never a scoring shortcut: the final
 ranking always comes from the exact engine
 (:meth:`~repro.serving.engine.InferenceEngine.rank_topk`), and end-to-end
-exactness/recall are measured in ``tests/test_retrieval.py`` and
-``benchmarks/test_retrieval_throughput.py``.
+exactness/recall are measured in ``tests/test_retrieval.py`` and by the
+``serve_recommend`` workload of ``bench/README.md``.
 """
 
 from __future__ import annotations

@@ -73,9 +73,9 @@ Or drive the engine directly on prepared :class:`FeatureBatch` objects::
     scores = engine.score(batch)                  # == trained_model.score(batch)
     probabilities = engine.classify(batch)        # CTR head
 
-The throughput benchmark (``benchmarks/test_serving_throughput.py``) measures
-the speedup of batched and cached serving over one-request-at-a-time scoring;
-the CLI exposes the same runtime as ``predict-batch`` and ``serve``
+The ``serve_score`` and ``serve_score_batch`` workloads of the benchmark of
+record (``bench/README.md``) measure one-payload and 32-payload lines through
+this runtime; the CLI exposes the same runtime as ``predict-batch`` and ``serve``
 subcommands of :mod:`repro.experiments.cli`.
 """
 

@@ -22,13 +22,16 @@ Proves the contract of :mod:`repro.online` end to end:
   failing gate leaves registry, index and cursor untouched;
 * the CLI surface: ``retrain --dry-run`` prints the verdict without mutating
   anything, ``train`` emits a parseable held-out-metrics block, ``status``
-  folds in the online state.
+  folds in the online state;
+* the log-to-gradient floor: a 100k-event log is tailed and converted at
+  more than 20k events/s, and one capped retrain over it is promoted.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -874,3 +877,77 @@ class TestOnlineCLI:
         online = payload["online"]
         assert online["retrain"]["active"] == "default@v1"
         assert online["cursor"]["seq"] == 3
+
+
+# --------------------------------------------------------------------------- #
+# The log-to-gradient floor at 100k logged events
+# --------------------------------------------------------------------------- #
+NUM_RECORDS = 25_000
+EVENTS_PER_RECORD = 4          # NUM_RECORDS * EVENTS_PER_RECORD = 100k events
+MAX_EXAMPLES = 2_000           # newest-first trainer cap (steady-state cycle)
+GATE_USERS = 30                # held-out users scored per gate side
+MIN_EVENTS_PER_SECOND = 20_000.0
+
+
+def test_log_to_gradient_floor_and_retrain_at_100k_events(tmp_path):
+    """Tailing the serving journal must be cheap next to serving itself.
+
+    A WAL of 100,000 logged click events (25k ``record`` entries × 4 events,
+    the shape ``DurableSequenceStore`` journals for the update head) goes
+    from CRC-framed journal bytes to padded training rows —
+    :meth:`InteractionLogReader.tail` plus :func:`build_training_examples` —
+    at more than 20k events/s, or the tail could not keep up with the
+    durable store's own write path.  One ``retrain_once`` cycle over the
+    same log, capped at the newest 2,000 examples, must then end promoted
+    with the cursor parked at the final sequence number.
+    """
+    context = build_context("gowalla", "quick")
+    encoder = context.encoder
+    users = [int(user) for user in encoder.known_users()]
+    vocab = encoder.dynamic_vocab_size
+
+    wal_path = tmp_path / WAL_NAME
+    wal = WriteAheadLog(wal_path)
+    for index in range(NUM_RECORDS):
+        events = [1 + (index * EVENTS_PER_RECORD + step) % (vocab - 1)
+                  for step in range(EVENTS_PER_RECORD)]
+        wal.append({"op": "record", "user": users[index % len(users)],
+                    "fp": [0], "stamp": float(index), "events": events})
+    wal.sync()
+    wal.close()
+    total_events = NUM_RECORDS * EVENTS_PER_RECORD
+
+    reader = InteractionLogReader(wal_path,
+                                  cursor_path=tmp_path / "probe-cursor.json")
+    started = time.perf_counter()
+    tail = reader.tail()
+    build = build_training_examples(tail.interactions, encoder)
+    convert_seconds = time.perf_counter() - started
+    assert tail.events_total == total_events
+    assert len(build.examples) == total_events
+    events_per_second = total_events / convert_seconds
+    assert events_per_second > MIN_EVENTS_PER_SECOND, (
+        f"log-to-gradient {events_per_second:,.0f} events/s is below the "
+        f"{MIN_EVENTS_PER_SECOND:,.0f} floor")
+
+    model = SeqFM(context.seqfm_config())
+    Trainer(make_task_model(model, context.task), encoder,
+            sampler=context.sampler,
+            config=context.trainer_config(epochs=1)).fit(
+                context.train_examples)
+    registry = ModelRegistry()
+    registry.register("m", model)
+    registry.build_index("m", range(encoder.num_users,
+                                    encoder.num_users + encoder.num_objects))
+    report = retrain_once(
+        registry, "m", wal_path=wal_path, online_dir=tmp_path / "online",
+        encoder=encoder, log=context.log, split=context.split,
+        task=context.task,
+        gate_config=GateConfig(tolerance=5.0, max_users=GATE_USERS),
+        trainer_config=IncrementalTrainerConfig(
+            epochs=1, max_examples=MAX_EXAMPLES))
+    assert report.status == "promoted"
+    assert report.events == total_events
+    assert report.examples == MAX_EXAMPLES
+    assert report.examples_capped == total_events - MAX_EXAMPLES
+    assert report.end_seq == NUM_RECORDS

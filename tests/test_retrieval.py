@@ -378,6 +378,20 @@ class TestIVFIndex:
         assert mean_recall[1] <= mean_recall[5] + 1e-12 <= mean_recall[10] + 2e-12
         assert mean_recall[10] == 1.0
 
+    @pytest.mark.parametrize("size", [1, 2, 20])
+    def test_answers_as_many_items_as_exact(self, engine, size):
+        """Probed partitions holding fewer than n members do not shrink the
+        answer: the search keeps probing in centroid order."""
+        built = ItemIndex.from_model(engine, CATALOG[:size])
+        exact, ivf = ExactIndex(built), IVFIndex(built)
+        rng = np.random.default_rng(size)
+        for n in (1, 3, 50):
+            query = rng.normal(size=built.dim + 1)
+            ids_exact, _ = exact.search(query, n)
+            ids_ivf, _ = ivf.search(query, n)
+            assert len(ids_ivf) == len(ids_exact) == min(n, size)
+        np.testing.assert_array_equal(ids_ivf, ids_exact)  # n=50: every item
+
     def test_every_partition_non_empty(self, index):
         ivf = IVFIndex(index, n_partitions=12, seed=2)
         sizes = np.diff(ivf._offsets)

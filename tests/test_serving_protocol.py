@@ -85,6 +85,26 @@ def serve_lines(registry, lines, head="score", model="golden", **kwargs):
 SCORE_PAYLOAD = {"static_indices": [1, 20], "history": [1, 2], "user_id": 1}
 
 
+def autograd_scores(model, profile, history, candidates=None):
+    """``SeqFM.score`` — the autograd forward, a path the server never takes —
+    of one profile and history over ``candidates`` (default: the profile's
+    own object)."""
+    dynamic, mask = pad_sequences([history], CONFIG.max_seq_len)
+    if candidates is None:
+        candidates = [profile[FeatureEncoder.candidate_slot]]
+    return model.score(FeatureBatch.for_candidates(profile, candidates,
+                                                   dynamic[0], mask[0]))
+
+
+def ranked_by_oracle(model, payload, pool):
+    """What a ranked-list head must answer: ``pool`` by descending autograd
+    score, cut at the payload's ``k``."""
+    scores = autograd_scores(model, payload["static_indices"],
+                             payload["history"], pool)
+    order = np.argsort(-scores, kind="stable")[: payload["k"]]
+    return [pool[i] for i in order], scores[order]
+
+
 # --------------------------------------------------------------------------- #
 # Envelope parsing
 # --------------------------------------------------------------------------- #
@@ -506,6 +526,81 @@ class TestModelRouting:
 
 
 # --------------------------------------------------------------------------- #
+# Edge inputs through every head that runs the model
+# --------------------------------------------------------------------------- #
+#: One payload per model head; the edge cases below vary its history or cut.
+MODEL_HEAD_PAYLOADS = {
+    "score": {"static_indices": [1, 20], "user_id": 1},
+    "rank": {"static_indices": [2, 21], "user_id": 2},
+    "classify": {"static_indices": [3, 22], "user_id": 3},
+    "regress": {"static_indices": [4, 23], "user_id": 4},
+    "rank-topk": {"static_indices": [5, 0], "candidates": [10, 11, 12, 13],
+                  "k": 3, "user_id": 5},
+    "recommend": {"static_indices": [6, 0], "k": 3, "user_id": 6},
+}
+
+
+def serve_one(registry, head, payload, model="golden"):
+    """One v1 envelope through ``serve_jsonl``; returns its ``result``."""
+    summary, responses = serve_lines(
+        registry, [json.dumps({"v": 1, "head": head, "payload": payload})],
+        model=model)
+    assert summary.errors == 0, responses
+    return responses[0]["result"]
+
+
+class TestEdgeInputs:
+    @pytest.mark.parametrize("history", [[], [0, 0]],
+                             ids=["empty", "all-padding"])
+    @pytest.mark.parametrize("head", list(MODEL_HEAD_PAYLOADS))
+    def test_eventless_history_scores_like_the_autograd_oracle(
+            self, registry, head, history):
+        """An explicit empty history, and one of padding ids only, are served
+        like any other and score as ``SeqFM.score`` scores them."""
+        payload = {**MODEL_HEAD_PAYLOADS[head], "history": history}
+        result = serve_one(registry, head, payload)
+        model = make_model(2)
+        if head in ("rank-topk", "recommend"):
+            candidates, expected = ranked_by_oracle(
+                model, payload, payload.get("candidates", CATALOG))
+            assert result["candidates"] == candidates
+            served = result["scores"]
+        else:
+            expected = autograd_scores(model, payload["static_indices"], history)
+            if head == "classify":
+                expected = 1.0 / (1.0 + np.exp(-expected))
+            served = [result["score"]]
+        np.testing.assert_allclose(served, expected, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("k", [5, 50])
+    def test_rank_topk_k_above_the_candidates_returns_all_sorted(self, registry, k):
+        payload = {"static_indices": [1, 0], "candidates": [12, 10, 13, 11],
+                   "history": [1, 2], "k": k}
+        result = serve_one(registry, "rank-topk", payload)
+        candidates, expected = ranked_by_oracle(make_model(2), payload,
+                                                payload["candidates"])
+        assert sorted(result["candidates"]) == [10, 11, 12, 13]
+        assert result["candidates"] == candidates
+        np.testing.assert_allclose(result["scores"], expected, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("size", [1, 2, 20])
+    @pytest.mark.parametrize("backend", ["exact", "ivf"])
+    def test_recommend_k_above_the_catalog_and_n_retrieve(self, backend, size):
+        """``k`` above both the catalog and ``n_retrieve``: either backend
+        answers the whole catalog, best first."""
+        catalog = CATALOG[:size]
+        registry = ModelRegistry()
+        registry.register("m", make_model(2))
+        registry.build_index("m", catalog, backend=backend)
+        payload = {"static_indices": [1, 0], "history": [1, 2], "k": 50,
+                   "n_retrieve": 30}
+        result = serve_one(registry, "recommend", payload, model="m")
+        candidates, expected = ranked_by_oracle(make_model(2), payload, catalog)
+        assert result["candidates"] == candidates
+        np.testing.assert_allclose(result["scores"], expected, rtol=0.0, atol=1e-10)
+
+
+# --------------------------------------------------------------------------- #
 # Golden wire-format file
 # --------------------------------------------------------------------------- #
 class TestGoldenWireFormat:
@@ -546,12 +641,8 @@ class TestGoldenWireFormat:
                 history = stored[model].get(payload.get("user_id"), [])
             elif "user_id" in payload:
                 stored[model][payload["user_id"]] = list(history)
-            dynamic, mask = pad_sequences([history], CONFIG.max_seq_len)
-            profile = payload["static_indices"]
-            if candidates is None:
-                candidates = [profile[FeatureEncoder.candidate_slot]]
-            return models[model].score(FeatureBatch.for_candidates(
-                profile, candidates, dynamic[0], mask[0]))
+            return autograd_scores(models[model], payload["static_indices"],
+                                   history, candidates)
 
         lines = zip(GOLDEN_INPUT.read_text().splitlines(),
                     GOLDEN_EXPECTED.read_text().splitlines())
