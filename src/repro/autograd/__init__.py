@@ -12,8 +12,8 @@ model actually needs:
 * :class:`~repro.autograd.tensor.Tensor` — an n-dimensional array that tracks
   its computation graph and exposes ``backward()``.
 * :mod:`repro.autograd.functional` — differentiable building blocks used by
-  the neural-network layer library (softmax, relu, sigmoid, layer norm,
-  dropout, masked attention scores, embedding gather, concatenation, ...).
+  the neural-network layer library (softmax, relu, sigmoid, dropout, masked
+  attention scores, embedding gather, losses, ...).
 * :func:`~repro.autograd.grad_check.check_gradients` — a finite-difference
   gradient checker used by the test suite to certify the engine.
 """

@@ -8,7 +8,7 @@ composes primitive tensor operations, so gradients flow through automatically.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -90,67 +90,6 @@ def scaled_dot_product_attention(
         for rows where every position is blocked (all-padding rows).
     """
     return softmax(attention_scores(queries, keys, mask=mask), axis=-1) @ values
-
-
-def pooled_attention(
-    queries: Tensor,
-    keys: Tensor,
-    values: Tensor,
-    row_weights: np.ndarray,
-    mask: Optional[np.ndarray] = None,
-) -> Tensor:
-    """``(r · softmax(QKᵀ/√d + M)) · V`` → ``(..., d)``; the differentiable
-    twin of :func:`repro.nn.kernels.pooled_attention`."""
-    weights = softmax(attention_scores(queries, keys, mask=mask), axis=-1)
-    return (Tensor(row_weights[..., None, :]) @ weights @ values).squeeze(-2)
-
-
-def pooled_cross_attention(
-    static_qkv: Sequence[Tensor],
-    history_qkv: Sequence[Tensor],
-    row_weights: np.ndarray,
-    static_mask: np.ndarray,
-) -> Tensor:
-    """The cross view (Eq. 11-13) in two row blocks; the differentiable twin of
-    :func:`repro.nn.kernels.pooled_cross_attention`, operation for operation and
-    under its grouped shape rule: a history's gradient is summed over its
-    candidates inside the grouped GEMMs, with no per-candidate copy."""
-    q_static, k_static, v_static = static_qkv
-    q_history, k_history, v_history = history_qkv
-    groups, candidates = k_history.shape[:-2], q_static.shape[:-2]
-    num_static = q_static.shape[-2]
-    scale = 1.0 / np.sqrt(q_static.shape[-1])
-    on_history = _group_rows(q_static, groups) @ k_history.swapaxes(-1, -2)
-    scores = Tensor.concatenate(
-        [q_static @ k_static.swapaxes(-1, -2),
-         _group_rows(on_history, candidates)], axis=-1,
-    ) * scale + Tensor(static_mask)
-    from_static = Tensor(row_weights[..., None, :num_static]) @ softmax(scores, axis=-1)
-    on_static_keys = _group_rows(k_static, groups) @ q_history.swapaxes(-1, -2)
-    weights = softmax(_group_rows(on_static_keys, candidates) * scale, axis=-2)
-    from_history = weights @ Tensor(row_weights[..., num_static:, None])
-    on_static = from_static[..., :num_static] + from_history.swapaxes(-1, -2)
-    history_values = _group_rows(from_static[..., num_static:], groups) @ v_history
-    return (on_static @ v_static + _group_rows(history_values, candidates)).squeeze(-2)
-
-
-def _group_rows(x: Tensor, lead: tuple) -> Tensor:
-    """Mirror of :func:`repro.nn.kernels._group_rows`."""
-    return x if x.ndim == len(lead) + 2 else x.reshape(lead + (-1, x.shape[-1]))
-
-
-def layer_norm(x: Tensor, scale: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:
-    """Layer normalisation over the last axis, Eq. (16) of the paper.
-
-    ``LN(h) = s ⊙ (h - μ) / σ + b`` where μ, σ are the mean and standard
-    deviation of the elements of ``h`` along the feature axis.
-    """
-    x = as_tensor(x)
-    mean = x.mean(axis=-1, keepdims=True)
-    centred = x - mean
-    variance = (centred * centred).mean(axis=-1, keepdims=True)
-    normalised = centred / (variance + eps) ** 0.5
-    return normalised * scale + bias
 
 
 def dropout(x: Tensor, ratio: float, training: bool, rng: np.random.Generator) -> Tensor:

@@ -96,8 +96,9 @@ class TrainingResult:
     stop_reason:
         Why the loop ended: ``"converged"`` (relative loss change below the
         convergence tolerance), ``"diverged"`` (loss worsened beyond the
-        divergence tolerance for ``divergence_patience`` consecutive epochs)
-        or ``"max_epochs"``.
+        divergence tolerance for ``divergence_patience`` consecutive epochs),
+        ``"non_finite"`` (an epoch's loss was NaN or infinite; the loop stops
+        at the first such epoch) or ``"max_epochs"``.
     """
 
     epoch_losses: List[float] = field(default_factory=list)
@@ -179,6 +180,9 @@ class Trainer:
             if self.config.verbose:
                 print(f"epoch {epoch + 1}/{self.config.epochs}: loss={epoch_loss:.5f}")
 
+            if not np.isfinite(epoch_loss):
+                result.stop_reason = "non_finite"
+                break
             if previous_loss is not None and previous_loss != 0:
                 relative_improvement = (previous_loss - epoch_loss) / abs(previous_loss)
                 if abs(relative_improvement) < self.config.convergence_tolerance:

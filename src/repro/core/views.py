@@ -2,7 +2,8 @@
 
 Each view applies a single self-attention head to a feature matrix and
 compresses the result with intra-view pooling (Eq. 14), folded into the
-attention weights (:func:`repro.autograd.functional.pooled_attention`):
+attention weights (:func:`repro.nn.attention.pooled_attention`, one graph node
+per view):
 
 * :class:`StaticView` — unmasked attention over the n° static features.
 * :class:`DynamicView` — causally masked attention over the n˙-step dynamic
@@ -16,10 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
 from repro.core import masks as mask_lib
-from repro.nn.attention import SelfAttention
+from repro.nn.attention import SelfAttention, pooled_attention, pooled_cross_attention
 from repro.nn.module import Module
 
 
@@ -93,7 +93,7 @@ class StaticView(Module):
         """``static_embeddings``: (batch, n_static, d) → pooled (batch, d)."""
         queries, keys, values = self.attention.project(static_embeddings)
         row_weights = np.full(queries.shape[:-1], 1.0 / queries.shape[-2])
-        return F.pooled_attention(queries, keys, values, row_weights)
+        return pooled_attention(queries, keys, values, row_weights)
 
 
 class DynamicView(Module):
@@ -112,7 +112,7 @@ class DynamicView(Module):
         queries, mask, row_weights = dynamic_query_rows(
             queries, valid_mask, mask_lib.padding_key_row(valid_mask), self.pooling
         )
-        return F.pooled_attention(queries, keys, values, row_weights, mask=mask)
+        return pooled_attention(queries, keys, values, row_weights, mask=mask)
 
 
 class CrossView(Module):
@@ -136,7 +136,7 @@ class CrossView(Module):
         groups = dynamic_embeddings.shape[0]
         num_static, dim = static_embeddings.shape[-2:]
         candidates = static_embeddings.reshape(-1, groups, num_static, dim).swapaxes(0, 1)
-        pooled = F.pooled_cross_attention(
+        pooled = pooled_cross_attention(
             self.attention.project(candidates),
             self.attention.project(dynamic_embeddings),
             mean_pool_weights(cross_valid_mask(num_static, valid_mask))[:, None],

@@ -34,14 +34,16 @@ class RankingMetrics:
 def _ground_truth_rank(scores: np.ndarray, ground_truth_position: int) -> int:
     """1-based rank of the ground-truth candidate.
 
-    Ties are broken pessimistically (candidates with equal score rank ahead of
-    the ground truth), which avoids over-crediting degenerate constant scorers.
+    Ties are broken pessimistically: every other candidate with an equal score
+    ranks ahead of the ground truth, wherever it sits in the list, so a
+    constant scorer earns no credit.  A non-finite ground-truth score (a
+    diverged model's NaN) ranks last.
     """
     scores = np.asarray(scores, dtype=np.float64)
     target_score = scores[ground_truth_position]
-    better = np.sum(scores > target_score)
-    equal_before = np.sum(scores[:ground_truth_position] == target_score)
-    return int(better + equal_before + 1)
+    if not np.isfinite(target_score):
+        return int(scores.size)
+    return int(np.sum(scores >= target_score))
 
 
 def hit_ratio_at_k(scores: np.ndarray, ground_truth_position: int, k: int) -> float:

@@ -1,19 +1,24 @@
 """Pure-NumPy forward kernels shared by training and serving.
 
-The autograd layer (:mod:`repro.autograd.functional`) wraps every operation in
-:class:`~repro.autograd.tensor.Tensor` nodes so gradients can flow backwards.
-Inference does not need any of that bookkeeping, so the serving engine
-(:mod:`repro.serving.engine`) evaluates the model with the plain-array kernels
-in this module instead.  Each kernel computes the formula of its autograd
-counterpart — same constants, same numerical tricks, and the same order of
-operations unless its docstring says otherwise (:func:`layer_norm`) — so a
-graph-free forward pass agrees with ``SeqFM.score`` to rounding, not bitwise:
-two call sites may batch rows differently, and BLAS sums accordingly.
+The autograd layer wraps operations in :class:`~repro.autograd.tensor.Tensor`
+nodes so gradients can flow backwards.  Inference does not need any of that
+bookkeeping, so the serving engine (:mod:`repro.serving.engine`) evaluates the
+model with the plain-array kernels in this module instead.  Each kernel
+computes the formula of its training counterpart — same constants, same
+numerical tricks, and the same order of operations unless its docstring says
+otherwise (:func:`layer_norm`) — so a graph-free forward pass agrees with
+``SeqFM.score`` to rounding, not bitwise: two call sites may batch rows
+differently, and BLAS sums accordingly.
 
-Keep the two in lock-step: any change to the math in
-:mod:`repro.autograd.functional` must be reflected here.  The tests enforce
-engine ≡ ``SeqFM.score`` to 1e-10 (``tests/test_serving_engine.py``) and kernel
-≡ twin ≡ dense reference to 1e-12 (``tests/test_pooled_attention.py``).
+The SeqFM views train on :func:`repro.nn.attention.pooled_attention` and
+:func:`repro.nn.attention.pooled_cross_attention`, whose forwards call
+:func:`attention_scores`, :func:`softmax` and :func:`_group_rows` in the order
+of :func:`pooled_attention` and :func:`pooled_cross_attention` here, each as
+one graph node with a hand-derived backward; the shared FFN's norm is
+:func:`repro.nn.layers.layer_norm`.  Keep them in lock-step: any change to the
+math here must be reflected there.  The tests enforce engine ≡ ``SeqFM.score``
+to 1e-10 (``tests/test_serving_engine.py``), training op ≡ kernel bitwise and
+kernel ≡ dense reference to 1e-12 (``tests/test_pooled_attention.py``).
 
 The SeqFM views run on :func:`pooled_attention` (static, dynamic) and
 :func:`pooled_cross_attention` (cross).  The dense attend-then-pool kernels
@@ -116,8 +121,8 @@ def pooled_attention(
     into the ``(..., m, n)`` attention weights *before* the value product: the
     ``(m, n)·(n, d)`` matmul of attend-then-pool becomes ``(1, n)·(n, d)``.
     Mean pooling is ``r = valid / count``; ``pooling="last"`` is that one
-    query row with ``r = 1``.  Mirrors
-    :func:`repro.autograd.functional.pooled_attention`.
+    query row with ``r = 1``.  :func:`repro.nn.attention.pooled_attention` is
+    this forward as one training graph node.
     """
     weights = softmax(attention_scores(queries, keys, mask=mask))
     return ((row_weights[..., None, :] @ weights) @ values)[..., 0, :]
@@ -155,7 +160,8 @@ def pooled_cross_attention(
     is ``(C, n°, d)`` against ``(n˙, d)``; per-row is C = 1 without the C
     axis.  ``row_weights`` (``(..., T)``) and ``static_mask`` broadcast over
     the static rows; history-block scores stay key-major, ``(..., n°, n˙)``.
-    Mirrors :func:`repro.autograd.functional.pooled_cross_attention`.
+    :func:`repro.nn.attention.pooled_cross_attention` is this forward as one
+    training graph node.
     """
     q_static, k_static, v_static = static_qkv
     q_history, k_history, v_history = history_qkv
@@ -313,8 +319,8 @@ def layer_norm(
 ) -> np.ndarray:
     """Layer normalisation over the last axis (Eq. 16).
 
-    The formula of :func:`repro.autograd.functional.layer_norm` — centre on
-    the mean, divide by ``(variance + eps)^½``, scale and shift — but not its
+    The formula of :func:`repro.nn.layers.layer_norm` — centre on the mean,
+    divide by ``(variance + eps)^½``, scale and shift — but not its
     operations: both means are one GEMV against a ``1/d`` vector, because at
     the few rows of a serving call ``ndarray.mean`` is mostly Python overhead.
     The sums round differently; the tests hold the two to 1e-12.

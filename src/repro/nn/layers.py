@@ -11,6 +11,37 @@ from repro.autograd.tensor import Tensor
 from repro.nn.module import Module, Parameter
 
 
+def layer_norm(x: Tensor, scale: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:
+    """Layer normalisation over the last axis, Eq. (16) of the paper, as one
+    graph node.
+
+    ``LN(h) = s ⊙ (h - μ) / σ + b`` where μ, σ are the mean and standard
+    deviation of the elements of ``h`` along the feature axis.  The means are
+    sums times ``1/d`` and the centred rows are divided by σ, so the forward
+    is bitwise that of the ``Tensor`` composition it replaces;
+    :func:`repro.nn.kernels.layer_norm` takes its means as a GEMV instead.
+    """
+    inverse_dim = 1.0 / x.shape[-1]
+    centred = x.data - x.data.sum(axis=-1, keepdims=True) * inverse_dim
+    variance = (centred * centred).sum(axis=-1, keepdims=True) * inverse_dim
+    sigma = (variance + eps) ** 0.5
+    normalised = centred / sigma
+    out = normalised * scale.data + bias.data
+
+    def backward(grad: np.ndarray) -> None:
+        if bias.requires_grad:
+            bias._accumulate(grad)
+        if scale.requires_grad:
+            scale._accumulate(grad * normalised)
+        if x.requires_grad:
+            d_normalised = grad * scale.data
+            d_centred = (d_normalised - normalised * (d_normalised * normalised).sum(
+                axis=-1, keepdims=True) * inverse_dim) / sigma
+            x._accumulate(d_centred - d_centred.sum(axis=-1, keepdims=True) * inverse_dim)
+
+    return Tensor._make(out, (x, scale, bias), backward)
+
+
 class LayerNorm(Module):
     """Layer normalisation over the last axis (Eq. 16 of the paper).
 
@@ -29,7 +60,7 @@ class LayerNorm(Module):
         self.bias = Parameter(np.zeros(dim), name="ln_bias")
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.layer_norm(x, self.scale, self.bias, eps=self.eps)
+        return layer_norm(x, self.scale, self.bias, eps=self.eps)
 
     def __repr__(self) -> str:
         return f"LayerNorm(dim={self.dim})"

@@ -22,6 +22,7 @@ means better" everywhere in the verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -140,7 +141,10 @@ class EvalGate:
             direction = -1.0 if _improves_downward(key) else 1.0
             delta = direction * (float(candidate[key]) - float(baseline[key]))
             deltas[key] = delta
-            if delta < -self.config.tolerance:
+            if not math.isfinite(float(candidate[key])):
+                # NaN compares False against any tolerance: veto it by name
+                reasons.append(f"{key} is not finite: {candidate[key]}")
+            elif delta < -self.config.tolerance:
                 reasons.append(
                     f"{key} regressed by {-delta:.4f} "
                     f"(tolerance {self.config.tolerance:.4f}): "

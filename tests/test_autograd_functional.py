@@ -8,6 +8,7 @@ import pytest
 from repro.autograd import Tensor, check_gradients
 from repro.autograd import functional as F
 from repro.core.masks import causal_mask
+from repro.nn.layers import layer_norm
 
 
 def _tensor(rng, shape):
@@ -72,7 +73,7 @@ class TestLayerNorm:
         x = Tensor(rng.normal(size=(6, 8)) * 5 + 3)
         scale = Tensor(np.ones(8))
         bias = Tensor(np.zeros(8))
-        out = F.layer_norm(x, scale, bias).data
+        out = layer_norm(x, scale, bias).data
         np.testing.assert_allclose(out.mean(axis=-1), np.zeros(6), atol=1e-8)
         np.testing.assert_allclose(out.std(axis=-1), np.ones(6), atol=1e-3)
 
@@ -80,18 +81,18 @@ class TestLayerNorm:
         x = Tensor(rng.normal(size=(2, 4)))
         scale = Tensor(np.full(4, 2.0))
         bias = Tensor(np.full(4, 1.0))
-        out = F.layer_norm(x, scale, bias).data
+        out = layer_norm(x, scale, bias).data
         np.testing.assert_allclose(out.mean(axis=-1), np.ones(2), atol=1e-8)
 
     def test_gradient(self, rng):
         x = _tensor(rng, (3, 5))
         scale = Tensor(rng.normal(size=5), requires_grad=True)
         bias = Tensor(rng.normal(size=5), requires_grad=True)
-        check_gradients(lambda ts: (F.layer_norm(ts[0], ts[1], ts[2]) ** 2).sum(), [x, scale, bias])
+        check_gradients(lambda ts: (layer_norm(ts[0], ts[1], ts[2]) ** 2).sum(), [x, scale, bias])
 
     def test_constant_row_does_not_divide_by_zero(self):
         x = Tensor(np.full((1, 4), 3.0))
-        out = F.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4))).data
+        out = layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4))).data
         assert np.isfinite(out).all()
 
 

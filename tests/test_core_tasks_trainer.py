@@ -298,6 +298,23 @@ class TestTrainerStopping:
         assert result.stop_reason == "diverged"
         assert result.epochs_run == 7
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_loss_stops_training(self, seqfm_config, encoder, split,
+                                            sampler, monkeypatch, bad):
+        """A NaN (or infinite) epoch loss ends the loop at that epoch: NaN
+        compares False against every tolerance, so without the check the loop
+        ran to the epoch budget and reported ``max_epochs``."""
+        examples = encoder.encode_training_instances(split.train)
+        trainer = Trainer(SeqFMRanker(seqfm_config), encoder, sampler,
+                          TrainerConfig(epochs=10, batch_size=8,
+                                        convergence_tolerance=1e-4))
+        losses = iter([1.0, 0.8, bad, bad, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5])
+        monkeypatch.setattr(trainer, "_run_epoch", lambda iterator: next(losses))
+        result = trainer.fit(examples)
+        assert result.stop_reason == "non_finite"
+        assert result.epochs_run == 3
+        assert result.epoch_losses[:2] == [1.0, 0.8]
+
     def test_plateau_noise_is_not_divergence(self, seqfm_config, encoder, split,
                                              sampler, monkeypatch):
         """Small consecutive upticks (above the convergence tolerance but far

@@ -31,10 +31,25 @@ class TestRankingMetrics:
 
     def test_rank_ties_are_pessimistic(self):
         scores = np.zeros(10)
-        # All-equal scores: ground truth at position 0 ranks first among ties.
-        assert hit_ratio_at_k(scores, 0, k=1) == 1.0
-        # Ground truth at a later position ranks behind the earlier ties.
+        # All-equal scores: the ground truth ranks behind every tie, wherever it sits.
+        assert hit_ratio_at_k(scores, 0, k=1) == 0.0
         assert hit_ratio_at_k(scores, 5, k=5) == 0.0
+        assert hit_ratio_at_k(scores, 0, k=10) == 1.0
+
+    def test_tie_with_a_negative_ranks_behind_it(self):
+        scores = np.array([2.0, 3.0, 2.0, 1.0])
+        assert ndcg_at_k(scores, 0, k=10) == pytest.approx(1.0 / np.log2(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ground_truth_ranks_last(self, bad):
+        scores = np.array([bad, 0.5, 0.1])
+        assert hit_ratio_at_k(scores, 0, k=2) == 0.0
+        assert ndcg_at_k(scores, 0, k=3) == pytest.approx(0.5)
+
+    def test_all_nan_scores_earn_nothing(self):
+        metrics = evaluate_ranking([np.full(5, np.nan)] * 3, [0, 2, 4], cutoffs=(1, 4))
+        assert metrics.hr == {1: 0.0, 4: 0.0}
+        assert metrics.ndcg == {1: 0.0, 4: 0.0}
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):

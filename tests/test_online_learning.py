@@ -425,6 +425,17 @@ class TestEvalGate:
         with pytest.raises(KeyError, match="HR@10"):
             gate.judge({"NDCG@10": 0.3}, {"NDCG@10": 0.3})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_candidate_metric_is_vetoed_by_name(self, bad):
+        """NaN compares False against the tolerance, so a diverged candidate
+        used to pass; ``-inf`` RMSE would read as a huge improvement."""
+        gate = self.make_gate(tolerance=0.02)
+        verdict = gate.judge({"hr@10": 0.8, "auc": 0.9, "RMSE": 1.0},
+                             {"hr@10": bad, "auc": 0.9, "RMSE": -bad})
+        assert not verdict.passed
+        assert [reason.split()[0] for reason in verdict.reasons] == ["RMSE", "hr@10"]
+        assert all("not finite" in reason for reason in verdict.reasons)
+
     def test_score_is_deterministic_across_calls(self, ctx, trained_model):
         gate = EvalGate(ctx.encoder, ctx.log, ctx.split, ctx.task,
                         config=GateConfig(max_users=15))
