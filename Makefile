@@ -17,7 +17,7 @@ test:
 lint:
 	$(PYTHON) -m repro.analysis src tests benchmarks $(LINT_FLAGS)
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests benchmarks examples; \
+		ruff check src tests benchmarks; \
 	else \
 		echo "lint: ruff not installed; skipped (CI runs it)"; \
 	fi

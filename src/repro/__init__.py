@@ -8,7 +8,7 @@ Subpackages
 ``repro.nn``
     Neural-network layers, optimisers and losses built on the autograd engine.
 ``repro.core``
-    The SeqFM model, its task heads, the trainer and grid search.
+    The SeqFM model, its task heads and the trainer.
 ``repro.baselines``
     Re-implementations of every baseline the paper compares against.
 ``repro.data``

@@ -123,25 +123,6 @@ def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
     return table.gather_rows(np.asarray(indices, dtype=np.int64))
 
 
-def mean_pool(x: Tensor, axis: int = -2) -> Tensor:
-    """Intra-view pooling (Eq. 14): mean of the feature rows in a view."""
-    return as_tensor(x).mean(axis=axis)
-
-
-def masked_mean_pool(x: Tensor, valid_mask: np.ndarray, axis: int = -2) -> Tensor:
-    """Mean over only the valid (non-padding) rows.
-
-    ``valid_mask`` has shape ``x.shape[:-1]`` with 1 for real features and 0
-    for padding rows.  Rows that are entirely padding contribute zero and the
-    divisor is clamped to at least one to avoid division by zero.
-    """
-    x = as_tensor(x)
-    mask = np.asarray(valid_mask, dtype=np.float64)[..., None]
-    counts = np.maximum(mask.sum(axis=axis), 1.0)
-    summed = (x * Tensor(mask)).sum(axis=axis)
-    return summed / Tensor(counts)
-
-
 def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean log loss of Eq. (24) computed from raw logits for stability.
 

@@ -6,6 +6,7 @@ Task-specific additional baselines:
     SASRec and TFM (ranking), DIN and xDeepFM (classification),
     RRN and HOFM (regression).
 
+These eleven are exactly :data:`BASELINE_REGISTRY`, the rows of Tables II-IV.
 Every baseline is re-implemented on the same autograd/NN substrate as SeqFM
 and exposes the same interface (forward over a
 :class:`~repro.data.features.FeatureBatch`, returning one score per
@@ -26,9 +27,6 @@ from repro.baselines.tfm import TFM
 from repro.baselines.din import DIN
 from repro.baselines.xdeepfm import XDeepFM
 from repro.baselines.rrn import RRN
-from repro.baselines.deepfm import DeepFM
-from repro.baselines.fnn import FNN
-from repro.baselines.pnn import PNN
 
 #: The baselines the paper's evaluation section compares against (Table II-IV).
 BASELINE_REGISTRY = {
@@ -45,14 +43,6 @@ BASELINE_REGISTRY = {
     "RRN": RRN,
 }
 
-#: Additional FM-family models discussed in the paper's related work
-#: (Section VII); available through the same interface for extended studies.
-EXTRA_BASELINE_REGISTRY = {
-    "DeepFM": DeepFM,
-    "FNN": FNN,
-    "PNN": PNN,
-}
-
 __all__ = [
     "BaselineScorer",
     "FM",
@@ -66,9 +56,5 @@ __all__ = [
     "DIN",
     "XDeepFM",
     "RRN",
-    "DeepFM",
-    "FNN",
-    "PNN",
     "BASELINE_REGISTRY",
-    "EXTRA_BASELINE_REGISTRY",
 ]

@@ -77,10 +77,6 @@ class BaselineScorer(Module):
         counts = np.maximum(batch.dynamic_mask.sum(axis=-1, keepdims=True), 1.0)
         return embedded.sum(axis=-2) / Tensor(counts)
 
-    def history_sum(self, batch: FeatureBatch) -> Tensor:
-        """(batch, d) masked sum of the history embeddings."""
-        return self.embed_dynamic(batch).sum(axis=-2)
-
     def all_feature_embeddings(self, batch: FeatureBatch) -> tuple:
         """Stack static + dynamic feature embeddings as one (batch, n, d) tensor.
 

@@ -11,8 +11,9 @@ Public API
   the BPR / log / squared-error losses of Section IV.
 * :class:`~repro.core.trainer.Trainer` / :class:`~repro.core.trainer.TrainingResult`
   — the mini-batch Adam training loop shared by SeqFM and every baseline.
-* :func:`~repro.core.grid_search.grid_search` — the hyper-parameter search
-  procedure of Section IV-D.
+
+Section IV-D's hyper-parameter sensitivity sweeps are Figure 3's entries in
+:data:`repro.experiments.registry.EXPERIMENTS`.
 """
 
 from repro.core.config import SeqFMConfig
@@ -20,7 +21,6 @@ from repro.core.masks import causal_mask, cross_view_mask, padding_key_mask, NEG
 from repro.core.model import SeqFM
 from repro.core.tasks import SeqFMRanker, SeqFMClassifier, SeqFMRegressor, make_task_model
 from repro.core.trainer import Trainer, TrainerConfig, TrainingResult
-from repro.core.grid_search import grid_search, GridSearchResult
 
 __all__ = [
     "SeqFMConfig",
@@ -36,6 +36,4 @@ __all__ = [
     "Trainer",
     "TrainerConfig",
     "TrainingResult",
-    "grid_search",
-    "GridSearchResult",
 ]

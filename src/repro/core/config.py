@@ -85,5 +85,5 @@ class SeqFMConfig:
         return sum([self.use_static_view, self.use_dynamic_view, self.use_cross_view])
 
     def with_overrides(self, **kwargs) -> "SeqFMConfig":
-        """Return a copy with some fields replaced (used by grid search)."""
+        """Return a copy with some fields replaced."""
         return replace(self, **kwargs)

@@ -11,7 +11,7 @@ mutation of the model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -84,34 +84,6 @@ def attention_maps(model: SeqFM, batch: FeatureBatch, index: int = 0) -> Attenti
         cross=cross_weights,
         dynamic_valid=batch.dynamic_mask[index] > 0,
     )
-
-
-def top_history_influences(model: SeqFM, batch: FeatureBatch, index: int = 0,
-                           top_k: int = 3) -> List[Dict[str, float]]:
-    """Rank the history positions by how much the dynamic view attends to them.
-
-    The influence of position j is the average attention weight it receives
-    from all *valid* later (or equal) positions — a simple summary of the
-    causal attention matrix that answers "which past events drive this
-    user's representation?".
-    """
-    maps = attention_maps(model, batch, index=index)
-    if maps.dynamic is None:
-        raise ValueError("the model has no dynamic view to interpret")
-    valid = maps.dynamic_valid
-    weights = maps.dynamic
-    influences = []
-    for position in np.where(valid)[0]:
-        receivers = np.where(valid)[0]
-        receivers = receivers[receivers >= position]
-        influence = float(weights[receivers, position].mean()) if receivers.size else 0.0
-        influences.append({
-            "position": int(position),
-            "dynamic_index": int(batch.dynamic_indices[index, position]),
-            "influence": influence,
-        })
-    influences.sort(key=lambda item: item["influence"], reverse=True)
-    return influences[:top_k]
 
 
 def view_contributions(model: SeqFM, batch: FeatureBatch) -> Dict[str, np.ndarray]:

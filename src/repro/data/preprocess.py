@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.data.interactions import Interaction, InteractionLog
+from repro.data.interactions import InteractionLog
 
 
 def chronological_sort(log: InteractionLog) -> InteractionLog:
@@ -72,19 +72,3 @@ def filter_by_activity(
 
     return InteractionLog(interactions=interactions, name=log.name)
 
-
-def deduplicate_consecutive(log: InteractionLog) -> InteractionLog:
-    """Remove immediate repeats of the same object within a user's sequence.
-
-    Useful for POI check-in style data where a user may check into the same
-    place several times in a row; repeated entries carry no sequential signal.
-    """
-    kept: list[Interaction] = []
-    for user_id, sequence in log.by_user().items():
-        previous_object = None
-        for event in sequence:
-            if event.object_id != previous_object:
-                kept.append(event)
-            previous_object = event.object_id
-    kept.sort(key=lambda event: (event.timestamp, event.user_id, event.object_id))
-    return InteractionLog(interactions=kept, name=log.name)

@@ -24,6 +24,9 @@ All generators are deterministic given a seed, emit
 :class:`~repro.data.interactions.InteractionLog` objects, and use power-law
 object popularity so the sparsity profile resembles the real datasets
 (scaled down ~2 orders of magnitude so CPU training finishes in seconds).
+Which generator, seed and ``sequential_strength`` stand in for each named
+dataset is decided in one place, ``_GENERATORS`` in
+:mod:`repro.experiments.registry`.
 """
 
 from __future__ import annotations
@@ -201,60 +204,3 @@ def generate_rating_log(config: SyntheticConfig, num_factors: int = 8,
             log.append(Interaction(user_id=user_id, object_id=item, timestamp=timestamp, rating=rating))
     return log
 
-
-# --------------------------------------------------------------------------- #
-# Named dataset constructors mirroring the paper's six datasets (Table I)
-# --------------------------------------------------------------------------- #
-def gowalla_like(num_users: int = 160, num_objects: int = 240,
-                 interactions_per_user: int = 40, seed: int = 11) -> InteractionLog:
-    """Scaled-down synthetic Gowalla: POI check-ins, short-range dependence."""
-    log = generate_poi_checkins(SyntheticConfig(num_users, num_objects, interactions_per_user,
-                                                seed=seed, sequential_strength=0.8))
-    log.name = "gowalla-like"
-    return log
-
-
-def foursquare_like(num_users: int = 140, num_objects: int = 200,
-                    interactions_per_user: int = 32, seed: int = 13) -> InteractionLog:
-    """Scaled-down synthetic Foursquare: sparser POI check-ins."""
-    log = generate_poi_checkins(SyntheticConfig(num_users, num_objects, interactions_per_user,
-                                                seed=seed, sequential_strength=0.75))
-    log.name = "foursquare-like"
-    return log
-
-
-def trivago_like(num_users: int = 150, num_objects: int = 260,
-                 interactions_per_user: int = 45, seed: int = 17) -> InteractionLog:
-    """Scaled-down synthetic Trivago: web-search click log, long-range preference."""
-    log = generate_ctr_log(SyntheticConfig(num_users, num_objects, interactions_per_user,
-                                           seed=seed, sequential_strength=0.8))
-    log.name = "trivago-like"
-    return log
-
-
-def taobao_like(num_users: int = 150, num_objects: int = 280,
-                interactions_per_user: int = 40, seed: int = 19) -> InteractionLog:
-    """Scaled-down synthetic Taobao: e-commerce click log with slow drift."""
-    log = generate_ctr_log(SyntheticConfig(num_users, num_objects, interactions_per_user,
-                                           seed=seed, sequential_strength=0.85),
-                           preference_drift=0.02)
-    log.name = "taobao-like"
-    return log
-
-
-def beauty_like(num_users: int = 120, num_objects: int = 150,
-                interactions_per_user: int = 18, seed: int = 23) -> InteractionLog:
-    """Scaled-down synthetic Amazon Beauty: explicit ratings with mood drift."""
-    log = generate_rating_log(SyntheticConfig(num_users, num_objects, interactions_per_user,
-                                              seed=seed, sequential_strength=0.8))
-    log.name = "beauty-like"
-    return log
-
-
-def toys_like(num_users: int = 110, num_objects: int = 140,
-              interactions_per_user: int = 16, seed: int = 29) -> InteractionLog:
-    """Scaled-down synthetic Amazon Toys & Games ratings."""
-    log = generate_rating_log(SyntheticConfig(num_users, num_objects, interactions_per_user,
-                                              seed=seed, sequential_strength=0.75))
-    log.name = "toys-like"
-    return log

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -63,16 +62,6 @@ def save_result_table(table: ResultTable, path: PathLike) -> None:
         "metadata": _jsonable(table.metadata),
     }
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True))
-
-
-def load_result_table(path: PathLike) -> ResultTable:
-    """Load a ResultTable exported by :func:`save_result_table`."""
-    payload = json.loads(Path(path).read_text())
-    table = ResultTable(title=payload["title"], columns=list(payload["columns"]),
-                        metadata=payload.get("metadata", {}))
-    for name, values in payload["rows"].items():
-        table.add_row(name, values)
-    return table
 
 
 def _jsonable(value):

@@ -3,8 +3,9 @@
 Provides the module system (parameters, train/eval modes, state dicts), the
 layers the SeqFM architecture is composed of (linear, embedding, layer norm,
 dropout, maskable self-attention, residual feed-forward blocks), weight
-initialisers, optimisers (SGD, Adam) and the three task losses used in the
-paper (BPR, log loss, squared error).
+initialisers and the optimisers (SGD, Adam).  The paper's three task losses
+(BPR, log loss, squared error) are functions in
+:mod:`repro.autograd.functional`, which the task heads call directly.
 """
 
 from repro.nn.module import Module, Parameter
@@ -13,7 +14,6 @@ from repro.nn.embedding import Embedding
 from repro.nn.layers import LayerNorm, Dropout, ReLU, Sequential
 from repro.nn.attention import SelfAttention
 from repro.nn.feedforward import ResidualFeedForward
-from repro.nn.losses import BPRLoss, BCEWithLogitsLoss, MSELoss
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn import init
 from repro.nn import kernels
@@ -29,9 +29,6 @@ __all__ = [
     "Sequential",
     "SelfAttention",
     "ResidualFeedForward",
-    "BPRLoss",
-    "BCEWithLogitsLoss",
-    "MSELoss",
     "SGD",
     "Adam",
     "Optimizer",

@@ -18,13 +18,6 @@ def xavier_uniform(shape: tuple, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def xavier_normal(shape: tuple, rng: np.random.Generator) -> np.ndarray:
-    """Glorot normal: N(0, 2 / (fan_in + fan_out))."""
-    fan_in, fan_out = _fans(shape)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
 def embedding_normal(shape: tuple, rng: np.random.Generator, std: float = 0.05) -> np.ndarray:
     """Small-variance normal initialisation for embedding tables."""
     return rng.normal(0.0, std, size=shape)

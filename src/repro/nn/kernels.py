@@ -354,8 +354,8 @@ def mean_pool(x: np.ndarray, axis: int = -2) -> np.ndarray:
 def masked_mean_pool(x: np.ndarray, valid_mask: np.ndarray, axis: int = -2) -> np.ndarray:
     """Mean over only the valid (non-padding) rows.
 
-    Mirrors :func:`repro.autograd.functional.masked_mean_pool`: rows that are
-    entirely padding contribute zero and the divisor is clamped to one.
+    Rows that are entirely padding contribute zero and the divisor is clamped
+    to one.
     """
     mask = np.asarray(valid_mask, dtype=np.float64)[..., None]
     counts = np.maximum(mask.sum(axis=axis), 1.0)

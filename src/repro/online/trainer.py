@@ -17,7 +17,7 @@ The interaction log carries click events, so incremental training serves the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.model import SeqFM
 from repro.core.tasks import TaskModel, make_task_model

@@ -24,7 +24,10 @@ mirroring the task heads in :mod:`repro.core.tasks`:
 Reloading a checkpoint into an existing name swaps the weights in place; the
 engine reads parameters by reference, so in-flight handles keep working.
 Registering or architecture-replacing over an existing name requires
-``overwrite=True`` — silent replacement is an error, not a default.
+``overwrite=True`` — silent replacement is an error, not a default.  A model
+with a NaN or infinite parameter is refused at :meth:`ModelRegistry.register`
+and :meth:`ModelRegistry.load` (and so at the online promotion's hot-swap):
+it would serve non-finite scores.
 """
 
 from __future__ import annotations
@@ -56,6 +59,14 @@ if TYPE_CHECKING:  # pragma: no cover — import cycle: retrieval imports the en
     from repro.serving.protocol import HeadRegistry
 
 PathLike = Union[str, Path]
+
+
+def _require_finite(model: SeqFM, what: str) -> None:
+    """Raise ``ValueError`` naming the first parameter with a NaN or ±inf."""
+    for name, parameter in model.named_parameters():
+        if not np.isfinite(parameter.data).all():
+            raise ValueError(f"{what} has a non-finite value in parameter {name!r}; "
+                             "a diverged model is not served")
 
 
 class OrphanedIndexWarning(UserWarning):
@@ -173,6 +184,7 @@ class ModelRegistry:
                 "to replace it (its engine, caches and item index are dropped), "
                 "or load() a checkpoint to hot-swap weights in place"
             )
+        _require_finite(model, f"the model for {name!r}")
         entry = RegisteredModel(
             name=name,
             model=model,
@@ -200,6 +212,7 @@ class ModelRegistry:
         """
         path = Path(path)
         fresh = load_seqfm(path)
+        _require_finite(fresh, str(path))
         existing = self._entries.get(name)
         if existing is not None and existing.model.config == fresh.config:
             existing.model.load_state_dict(fresh.state_dict())

@@ -157,32 +157,6 @@ class TestAttention:
         )
 
 
-class TestPooling:
-    def test_mean_pool(self, rng):
-        x = Tensor(rng.normal(size=(2, 4, 3)))
-        np.testing.assert_allclose(F.mean_pool(x).data, x.data.mean(axis=-2))
-
-    def test_masked_mean_pool_ignores_padding(self, rng):
-        x = np.zeros((1, 3, 2))
-        x[0, 0] = [2.0, 2.0]
-        x[0, 1] = [4.0, 4.0]
-        x[0, 2] = [100.0, 100.0]  # padding position
-        mask = np.array([[1.0, 1.0, 0.0]])
-        out = F.masked_mean_pool(Tensor(x), mask).data
-        np.testing.assert_allclose(out, [[3.0, 3.0]])
-
-    def test_masked_mean_pool_all_padding_is_zero(self):
-        x = Tensor(np.ones((1, 3, 2)))
-        mask = np.zeros((1, 3))
-        out = F.masked_mean_pool(x, mask).data
-        np.testing.assert_allclose(out, np.zeros((1, 2)))
-
-    def test_masked_mean_pool_gradient(self, rng):
-        x = _tensor(rng, (2, 4, 3))
-        mask = np.array([[1, 1, 0, 0], [1, 1, 1, 1]], dtype=float)
-        check_gradients(lambda ts: (F.masked_mean_pool(ts[0], mask) ** 2).sum(), [x])
-
-
 class TestLosses:
     def test_bce_matches_manual(self, rng):
         logits = rng.normal(size=6)

@@ -1,4 +1,4 @@
-"""Tests for the task heads, the trainer and grid search."""
+"""Tests for the task heads and the trainer."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.config import SeqFMConfig
-from repro.core.grid_search import grid_search
 from repro.core.model import SeqFM
 from repro.core.tasks import (
     ClassificationTask,
@@ -346,28 +345,3 @@ class TestTrainerStopping:
         assert result.stop_reason == "converged"
         assert result.epochs_run == 4
 
-
-class TestGridSearch:
-    def test_finds_best_combination(self):
-        def evaluate(params):
-            # Best at embed_dim=32, layers=2.
-            return -abs(params["embed_dim"] - 32) - abs(params["layers"] - 2)
-
-        result = grid_search({"embed_dim": [8, 16, 32], "layers": [1, 2]}, evaluate)
-        assert result.best_params == {"embed_dim": 32, "layers": 2}
-        assert len(result.trials) == 6
-
-    def test_minimise_mode(self):
-        result = grid_search({"x": [1, 2, 3]}, lambda p: p["x"] ** 2, maximise=False)
-        assert result.best_params == {"x": 1}
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            grid_search({}, lambda p: 0.0)
-        with pytest.raises(ValueError):
-            grid_search({"x": []}, lambda p: 0.0)
-
-    def test_trials_record_every_combination(self):
-        result = grid_search({"a": [1, 2], "b": [3, 4, 5]}, lambda p: p["a"] * p["b"])
-        assert len(result.trials) == 6
-        assert result.best_score == 10

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.data.interactions import Interaction, InteractionLog
-from repro.data.preprocess import chronological_sort, deduplicate_consecutive, filter_by_activity
+from repro.data.preprocess import chronological_sort, filter_by_activity
 
 
 class TestInteractionLog:
@@ -99,18 +99,3 @@ class TestActivityFilter:
         filtered = filter_by_activity(tiny_log, min_user_interactions=2, min_object_interactions=2)
         assert len(filtered) == len(tiny_log)
 
-
-class TestDeduplicateConsecutive:
-    def test_removes_immediate_repeats(self):
-        log = InteractionLog()
-        for index, object_id in enumerate([5, 5, 6, 6, 6, 5]):
-            log.append(Interaction(0, object_id, float(index)))
-        deduplicated = deduplicate_consecutive(log)
-        assert [event.object_id for event in deduplicated.user_sequence(0)] == [5, 6, 5]
-
-    def test_users_are_independent(self):
-        log = InteractionLog()
-        log.append(Interaction(0, 5, 0.0))
-        log.append(Interaction(1, 5, 1.0))
-        deduplicated = deduplicate_consecutive(log)
-        assert len(deduplicated) == 2

@@ -1,4 +1,4 @@
-"""Tests for the learning-rate schedulers and the significance-testing tools."""
+"""Tests for the significance-testing tools of :mod:`repro.eval.significance`."""
 
 from __future__ import annotations
 
@@ -11,81 +11,6 @@ from repro.eval.significance import (
     per_case_hit_scores,
     sign_test,
 )
-from repro.nn.module import Parameter
-from repro.nn.optim import SGD
-from repro.nn.schedulers import (
-    ConstantLR,
-    CosineAnnealingLR,
-    StepDecayLR,
-    WarmupLR,
-    lr_history,
-)
-
-
-def _optimizer(lr=0.1):
-    return SGD([Parameter(np.zeros(1))], lr=lr)
-
-
-class TestSchedulers:
-    def test_constant_keeps_rate(self):
-        optimizer = _optimizer(0.05)
-        scheduler = ConstantLR(optimizer)
-        rates = lr_history(scheduler, 5)
-        assert rates == [0.05] * 5
-
-    def test_step_decay_halves_every_step_size(self):
-        optimizer = _optimizer(0.8)
-        scheduler = StepDecayLR(optimizer, step_size=2, gamma=0.5)
-        rates = lr_history(scheduler, 6)
-        assert rates[0] == pytest.approx(0.8)
-        assert rates[1] == pytest.approx(0.4)   # step 2 → one decay
-        assert rates[3] == pytest.approx(0.2)   # step 4 → two decays
-        assert rates[5] == pytest.approx(0.1)
-
-    def test_step_decay_validation(self):
-        with pytest.raises(ValueError):
-            StepDecayLR(_optimizer(), step_size=0)
-        with pytest.raises(ValueError):
-            StepDecayLR(_optimizer(), step_size=1, gamma=0.0)
-
-    def test_cosine_annealing_endpoints(self):
-        optimizer = _optimizer(1.0)
-        scheduler = CosineAnnealingLR(optimizer, total_steps=10, min_lr=0.1)
-        rates = lr_history(scheduler, 12)
-        assert rates[0] < 1.0                       # already decaying after the first step
-        assert rates[9] == pytest.approx(0.1)       # reaches the floor at total_steps
-        assert rates[11] == pytest.approx(0.1)      # and stays there
-        assert all(earlier >= later - 1e-12 for earlier, later in zip(rates, rates[1:]))
-
-    def test_cosine_validation(self):
-        with pytest.raises(ValueError):
-            CosineAnnealingLR(_optimizer(), total_steps=0)
-        with pytest.raises(ValueError):
-            CosineAnnealingLR(_optimizer(), total_steps=5, min_lr=-0.1)
-
-    def test_warmup_ramps_linearly_then_holds(self):
-        optimizer = _optimizer(0.4)
-        scheduler = WarmupLR(optimizer, warmup_steps=4)
-        rates = lr_history(scheduler, 6)
-        np.testing.assert_allclose(rates[:4], [0.1, 0.2, 0.3, 0.4])
-        assert rates[4] == pytest.approx(0.4)
-
-    def test_warmup_then_inner_schedule(self):
-        optimizer = _optimizer(0.4)
-        inner = StepDecayLR(optimizer, step_size=1, gamma=0.5)
-        scheduler = WarmupLR(optimizer, warmup_steps=2, after=inner)
-        rates = lr_history(scheduler, 4)
-        assert rates[0] == pytest.approx(0.2)
-        assert rates[1] == pytest.approx(0.4)
-        assert rates[2] == pytest.approx(0.2)   # inner step 1 → one decay
-        assert rates[3] == pytest.approx(0.1)
-
-    def test_scheduler_actually_updates_optimizer(self):
-        optimizer = _optimizer(0.4)
-        scheduler = StepDecayLR(optimizer, step_size=1, gamma=0.1)
-        scheduler.step()
-        assert optimizer.lr == pytest.approx(0.04)
-        assert scheduler.current_lr == optimizer.lr
 
 
 class TestBootstrapConfidenceInterval:

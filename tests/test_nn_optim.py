@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.nn import Adam, BCEWithLogitsLoss, BPRLoss, MSELoss, SGD
+from repro.nn import SGD, Adam
 from repro.nn.module import Parameter
 
 
@@ -104,16 +104,3 @@ class TestAdam:
         optimizer.step()
         assert parameter.data[0] < 5.0
 
-
-class TestLossModules:
-    def test_bpr_loss_module(self):
-        loss = BPRLoss()(Tensor([2.0]), Tensor([0.0]))
-        assert 0 < loss.item() < np.log(2.0)
-
-    def test_bce_loss_module(self):
-        loss = BCEWithLogitsLoss()(Tensor([0.0, 0.0]), np.array([1.0, 0.0]))
-        assert loss.item() == pytest.approx(np.log(2.0), rel=1e-9)
-
-    def test_mse_loss_module(self):
-        loss = MSELoss()(Tensor([1.0, 3.0]), np.array([1.0, 1.0]))
-        assert loss.item() == pytest.approx(2.0)

@@ -89,6 +89,22 @@ def trained_model(trained_state):
     return model
 
 
+#: One registry dataset per task, for the gate's broken-candidate cases.
+TASK_DATASETS = {"ranking": "gowalla", "classification": "trivago", "regression": "beauty"}
+
+
+@pytest.fixture(scope="module", params=sorted(TASK_DATASETS))
+def gated_baseline(request):
+    """A 2-epoch quick SeqFM for one task, with an eval gate on its dataset."""
+    context = build_context(TASK_DATASETS[request.param], "quick")
+    model = SeqFM(context.seqfm_config())
+    Trainer(make_task_model(model, context.task), context.encoder, sampler=context.sampler,
+            config=context.trainer_config(epochs=2)).fit(context.train_examples)
+    gate = EvalGate(context.encoder, context.log, context.split, context.task,
+                    config=GateConfig(max_users=30))
+    return gate, model
+
+
 def make_wal(path, count, start=0):
     wal = WriteAheadLog(path)
     for i in range(count):
@@ -436,6 +452,19 @@ class TestEvalGate:
         assert [reason.split()[0] for reason in verdict.reasons] == ["RMSE", "hr@10"]
         assert all("not finite" in reason for reason in verdict.reasons)
 
+    @pytest.mark.parametrize("fill", [np.nan, 0.0], ids=["all_nan", "all_zero"])
+    def test_vetoes_a_diverged_or_collapsed_candidate(self, gated_baseline, fill):
+        """A candidate whose every parameter is NaN, or 0, fails the gate
+        with a reason on every task."""
+        gate, model = gated_baseline
+        broken = SeqFM(model.config)
+        broken.load_state_dict({name: np.full_like(value, fill)
+                                for name, value in model.state_dict().items()})
+        verdict = gate.evaluate_candidate(make_task_model(model, gate.task),
+                                          make_task_model(broken, gate.task))
+        assert not verdict.passed
+        assert verdict.reasons
+
     def test_score_is_deterministic_across_calls(self, ctx, trained_model):
         gate = EvalGate(ctx.encoder, ctx.log, ctx.split, ctx.task,
                         config=GateConfig(max_users=15))
@@ -609,6 +638,31 @@ class TestPromotionPipeline:
         assert entry.index is index_before
         assert reader.cursor == LogCursor()  # cursor never moved
         assert not lineage.checkpoint_path(rejected.version).exists()
+        assert ModelLineage(online).active is None
+
+    def test_promote_refuses_a_non_finite_candidate(self, ctx, trained_model,
+                                                    tmp_path):
+        """Even under a passing verdict, the hot-swap refuses a NaN model:
+        served weights, index, cursor and manifest stay as they were."""
+        registry, durable, _, online, reader, lineage = serving_setup(
+            ctx, trained_model, tmp_path)
+        self.click(durable, ctx)
+        tail = reader.tail()
+        entry = registry.get("m")
+        weights_before = entry.model.state_dict()["projection"].copy()
+        index_before = entry.index
+        candidate = SeqFM(trained_model.config)
+        candidate.load_state_dict(trained_model.state_dict())
+        candidate.projection.data[0] = np.nan
+
+        pipeline = PromotionPipeline(registry, "m", lineage, reader)
+        with pytest.raises(ValueError, match="'projection'"):
+            pipeline.promote(make_task_model(candidate, ctx.task),
+                             self.passing_verdict(), tail, examples=1)
+        np.testing.assert_array_equal(
+            entry.model.state_dict()["projection"], weights_before)
+        assert entry.index is index_before
+        assert reader.cursor == LogCursor()
         assert ModelLineage(online).active is None
 
     def test_promote_refuses_a_failed_verdict(self, ctx, trained_model,

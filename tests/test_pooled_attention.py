@@ -160,6 +160,26 @@ def pooled_cross_view(static, history, valid, weights):
     )
 
 
+class TestDenseReferencePooling:
+    """The dense pools the pooled kernels are checked against."""
+
+    def test_mean_pool(self):
+        x = np.random.default_rng(0).normal(size=(2, 4, 3))
+        np.testing.assert_allclose(kernels.mean_pool(x), x.mean(axis=-2))
+
+    def test_masked_mean_pool_ignores_padding(self):
+        x = np.zeros((1, 3, 2))
+        x[0, 0] = [2.0, 2.0]
+        x[0, 1] = [4.0, 4.0]
+        x[0, 2] = [100.0, 100.0]  # padding position
+        out = kernels.masked_mean_pool(x, np.array([[1.0, 1.0, 0.0]]))
+        np.testing.assert_allclose(out, [[3.0, 3.0]])
+
+    def test_masked_mean_pool_all_padding_is_zero(self):
+        out = kernels.masked_mean_pool(np.ones((1, 3, 2)), np.zeros((1, 3)))
+        np.testing.assert_allclose(out, np.zeros((1, 2)))
+
+
 class TestPooledKernelsMatchDenseReference:
     @SETTINGS
     @given(view_inputs())

@@ -3,14 +3,16 @@ interpretation utilities."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import serialization
-from repro.core.interpret import attention_maps, top_history_influences, view_contributions
+from repro.core.interpret import attention_maps, view_contributions
 from repro.core.model import SeqFM
 from repro.data.features import FeatureBatch
-from repro.experiments.reporting import ResultTable, load_result_table, save_result_table
+from repro.experiments.reporting import ResultTable, save_result_table
 
 
 @pytest.fixture
@@ -55,18 +57,18 @@ class TestWeightCheckpoints:
 
 
 class TestResultTableExport:
-    def test_roundtrip(self, tmp_path):
+    def test_export_holds_the_whole_table(self, tmp_path):
         table = ResultTable(title="Table II — demo", columns=["HR@10", "NDCG@10"])
         table.add_row("FM", {"HR@10": 0.4, "NDCG@10": 0.2})
         table.add_row("SeqFM", {"HR@10": 0.6, "NDCG@10": 0.35})
         table.metadata["dataset_statistics"] = {"users": np.int64(70)}
         path = tmp_path / "table.json"
         save_result_table(table, path)
-        restored = load_result_table(path)
-        assert restored.title == table.title
-        assert restored.columns == table.columns
-        assert restored.rows == table.rows
-        assert restored.metadata["dataset_statistics"]["users"] == 70
+        restored = json.loads(path.read_text())
+        assert restored["title"] == table.title
+        assert restored["columns"] == table.columns
+        assert restored["rows"] == table.rows
+        assert restored["metadata"]["dataset_statistics"]["users"] == 70
 
     def test_metadata_numpy_values_serialisable(self, tmp_path):
         table = ResultTable(title="demo", columns=["A"])
@@ -75,9 +77,9 @@ class TestResultTableExport:
         table.metadata["float"] = np.float64(1.5)
         path = tmp_path / "meta.json"
         save_result_table(table, path)
-        restored = load_result_table(path)
-        assert restored.metadata["array"] == [0, 1, 2]
-        assert restored.metadata["float"] == 1.5
+        restored = json.loads(path.read_text())
+        assert restored["metadata"]["array"] == [0, 1, 2]
+        assert restored["metadata"]["float"] == 1.5
 
 
 class TestInterpretation:
@@ -108,19 +110,6 @@ class TestInterpretation:
     def test_index_out_of_range(self, seqfm_model, batch):
         with pytest.raises(IndexError):
             attention_maps(seqfm_model, batch, index=99)
-
-    def test_top_history_influences(self, seqfm_model, batch):
-        influences = top_history_influences(seqfm_model, batch, index=0, top_k=3)
-        assert 1 <= len(influences) <= 3
-        scores = [item["influence"] for item in influences]
-        assert scores == sorted(scores, reverse=True)
-        for item in influences:
-            assert item["dynamic_index"] != 0  # never a padding feature
-
-    def test_top_history_influences_requires_dynamic_view(self, seqfm_config, batch):
-        model = SeqFM(seqfm_config.with_overrides(use_dynamic_view=False))
-        with pytest.raises(ValueError):
-            top_history_influences(model, batch)
 
     def test_view_contributions_sum_to_interaction_term(self, seqfm_model, batch):
         contributions = view_contributions(seqfm_model, batch)

@@ -516,6 +516,35 @@ class TestModelRegistry:
         assert reloaded is entry  # same holder: weights swapped in place
         assert reloaded.engine is entry.engine
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_register_refuses_a_non_finite_parameter(self, model, bad):
+        model.projection.data[3] = bad
+        registry = ModelRegistry()
+        with pytest.raises(ValueError, match="'projection'"):
+            registry.register("m", model)
+        assert "m" not in registry
+
+    def test_load_refuses_a_checkpoint_with_a_nan_array(self, model, tmp_path):
+        """The hot-swap path the online promotion takes: a NaN array in the
+        checkpoint leaves the served weights as they were."""
+        registry = ModelRegistry()
+        entry = registry.register("seqfm", model)
+        path = registry.save("seqfm", tmp_path / "seqfm.npz")
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        name = next(key for key in arrays if key.startswith("static_embedding"))
+        arrays[name] = np.full_like(arrays[name], np.nan)
+        np.savez(path, **arrays)
+        before = model.state_dict()
+
+        with pytest.raises(ValueError, match=repr(name)):
+            registry.load("seqfm", path)
+        with pytest.raises(ValueError, match=repr(name)):
+            ModelRegistry().load("seqfm", path)
+        assert registry.get("seqfm") is entry
+        for key, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, before[key])
+
     def test_endpoints_mirror_task_heads(self, model):
         registry = ModelRegistry()
         registry.register("m", model)
