@@ -10,12 +10,10 @@ export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Static analysis: the in-repo analyzer (kernel purity, lock discipline,
-# numerics hygiene) over src + tests + benchmarks, plus ruff (import order,
-# unused imports, bugbear) when it is installed.
-# CI passes LINT_FLAGS="--format github" to surface findings as annotations.
+# ruff (import order, unused imports, bugbear) over src + tests + benchmarks,
+# when it is installed.  The source invariants (kernel purity, numerics
+# hygiene, lock discipline) are tier-1 tests: tests/test_source_invariants.py.
 lint:
-	$(PYTHON) -m repro.analysis src tests benchmarks $(LINT_FLAGS)
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests benchmarks; \
 	else \

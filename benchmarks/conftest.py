@@ -62,12 +62,3 @@ def pytest_runtest_makereport(item, call):
 def scale() -> str:
     return BENCHMARK_SCALE
 
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run ``fn`` exactly once under pytest-benchmark timing.
-
-    The experiments are full train-and-evaluate cycles; repeating them for
-    statistical timing would multiply the suite's runtime for no benefit, so
-    every benchmark uses a single round.
-    """
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)

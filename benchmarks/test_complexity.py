@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 
-from benchmarks.conftest import export_text, run_once
+from benchmarks.conftest import export_text
 from repro.core.config import SeqFMConfig
 from repro.core.model import SeqFM
 from repro.data.features import FeatureBatch
@@ -33,16 +33,11 @@ def _batch_of_size(context, size: int) -> FeatureBatch:
     return FeatureBatch.from_examples(replicated)
 
 
-def test_forward_time_linear_in_batch_size(benchmark, scale):
+def test_forward_time_linear_in_batch_size(scale):
     context = build_context("gowalla", scale=scale)
     model = SeqFM(context.seqfm_config())
-
-    def measure():
-        sizes = [256, 512, 1024, 2048]
-        times = [_timed_forward(model, _batch_of_size(context, size), repeats=5) for size in sizes]
-        return sizes, times
-
-    sizes, times = run_once(benchmark, measure)
+    sizes = [256, 512, 1024, 2048]
+    times = [_timed_forward(model, _batch_of_size(context, size), repeats=5) for size in sizes]
 
     lines = ["Forward wall-clock vs. batch size (fixed n°, n˙, d):"]
     for size, seconds in zip(sizes, times):
@@ -58,19 +53,14 @@ def test_forward_time_linear_in_batch_size(benchmark, scale):
     assert times[-1] < times[0] * 24
 
 
-def test_forward_time_grows_with_embed_dim(benchmark, scale):
+def test_forward_time_grows_with_embed_dim(scale):
     context = build_context("gowalla", scale=scale)
     dims = [8, 32, 128]
-
-    def measure():
-        batch = _batch_of_size(context, 256)
-        times = []
-        for dim in dims:
-            model = SeqFM(context.seqfm_config(embed_dim=dim))
-            times.append(_timed_forward(model, batch))
-        return times
-
-    times = run_once(benchmark, measure)
+    batch = _batch_of_size(context, 256)
+    times = []
+    for dim in dims:
+        model = SeqFM(context.seqfm_config(embed_dim=dim))
+        times.append(_timed_forward(model, batch))
 
     print()
     print("Forward wall-clock vs. latent dimension d (batch=256):")
@@ -83,7 +73,7 @@ def test_forward_time_grows_with_embed_dim(benchmark, scale):
     assert times[-1] < times[0] * (dims[-1] / dims[0]) ** 2
 
 
-def test_parameter_count_linear_in_vocabulary(benchmark):
+def test_parameter_count_linear_in_vocabulary():
     def count(vocab_multiplier: int) -> int:
         config = SeqFMConfig(
             static_vocab_size=100 * vocab_multiplier,
@@ -92,7 +82,7 @@ def test_parameter_count_linear_in_vocabulary(benchmark):
         )
         return SeqFM(config).num_parameters()
 
-    counts = run_once(benchmark, lambda: [count(m) for m in (1, 2, 4)])
+    counts = [count(m) for m in (1, 2, 4)]
 
     print()
     print("SeqFM parameter count vs. vocabulary size multiplier:")

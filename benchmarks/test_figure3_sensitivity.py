@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import export_text, run_once
+from benchmarks.conftest import export_text
 from repro.experiments import EXPERIMENTS, run
 from repro.experiments.registry import QUICK_GRIDS
 
@@ -22,9 +22,8 @@ from repro.experiments.registry import QUICK_GRIDS
     ("beauty", "ffn_layers"),
     ("beauty", "dropout"),
 ])
-def test_figure3_sensitivity(benchmark, scale, dataset, hyperparameter):
-    series_list = run_once(benchmark, run, "figure3", scale=scale,
-                           datasets=(dataset,), rows=(hyperparameter,))
+def test_figure3_sensitivity(scale, dataset, hyperparameter):
+    series_list = run("figure3", scale=scale, datasets=(dataset,), rows=(hyperparameter,))
     assert len(series_list) == 1
     series = series_list[0]
 

@@ -7,15 +7,15 @@ linearly with the data size — the scalability claim of Section VI-D.
 
 from __future__ import annotations
 
-from benchmarks.conftest import export_text, run_once
+from benchmarks.conftest import export_text
 from repro.experiments import EXPERIMENTS, run
 
 
-def test_figure4_training_time_scales_linearly(benchmark, scale):
+def test_figure4_training_time_scales_linearly(scale):
     # The scalability measurement needs enough work per point for wall-clock
     # noise to stay small relative to the trend, so it always runs at the
     # "small" scale regardless of the suite's default scale.
-    result = run_once(benchmark, run, "figure4", scale="small")
+    result = run("figure4", scale="small")
 
     report = EXPERIMENTS["figure4"].render(result)
     print("\n" + report)

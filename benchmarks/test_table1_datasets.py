@@ -7,13 +7,13 @@ real datasets.
 
 from __future__ import annotations
 
-from benchmarks.conftest import export_text, run_once
+from benchmarks.conftest import export_text
 from repro.experiments import EXPERIMENTS, run
 from repro.experiments.registry import dataset_names
 
 
-def test_table1_dataset_statistics(benchmark, scale):
-    table = run_once(benchmark, run, "table1", scale=scale)
+def test_table1_dataset_statistics(scale):
+    table = run("table1", scale=scale)
 
     report = EXPERIMENTS["table1"].render(table)
     print("\n" + report)

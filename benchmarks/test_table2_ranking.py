@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import export_text, run_once
+from benchmarks.conftest import export_text
 from repro.experiments import EXPERIMENTS, run
 
 
 @pytest.mark.parametrize("dataset", ["gowalla", "foursquare"])
-def test_table2_ranking(benchmark, scale, dataset):
-    tables = run_once(benchmark, run, "table2", scale=scale, datasets=(dataset,))
+def test_table2_ranking(scale, dataset):
+    tables = run("table2", scale=scale, datasets=(dataset,))
     table = tables[dataset]
 
     report = EXPERIMENTS["table2"].render(tables)

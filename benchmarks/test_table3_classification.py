@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import export_text, run_once
+from benchmarks.conftest import export_text
 from repro.experiments import EXPERIMENTS, run
 
 
 @pytest.mark.parametrize("dataset", ["trivago", "taobao"])
-def test_table3_classification(benchmark, scale, dataset):
-    tables = run_once(benchmark, run, "table3", scale=scale, datasets=(dataset,))
+def test_table3_classification(scale, dataset):
+    tables = run("table3", scale=scale, datasets=(dataset,))
     table = tables[dataset]
 
     report = EXPERIMENTS["table3"].render(tables)

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import export_text, run_once
+from benchmarks.conftest import export_text
 from repro.experiments import EXPERIMENTS, run
 
 
 @pytest.mark.parametrize("dataset", ["beauty", "toys"])
-def test_table4_regression(benchmark, scale, dataset):
-    tables = run_once(benchmark, run, "table4", scale=scale, datasets=(dataset,))
+def test_table4_regression(scale, dataset):
+    tables = run("table4", scale=scale, datasets=(dataset,))
     table = tables[dataset]
 
     report = EXPERIMENTS["table4"].render(tables)

@@ -8,12 +8,12 @@ MAE).
 
 from __future__ import annotations
 
-from benchmarks.conftest import export_text, run_once
+from benchmarks.conftest import export_text
 from repro.experiments import EXPERIMENTS, run
 
 
-def test_table5_ablation(benchmark, scale):
-    table = run_once(benchmark, run, "table5", scale=scale)
+def test_table5_ablation(scale):
+    table = run("table5", scale=scale)
 
     report = EXPERIMENTS["table5"].render(table)
     print("\n" + report)

@@ -269,7 +269,7 @@ def blocked_topk_matmul(
     survivor_scores = []
     # block sweep: O(rows / block_size) iterations to bound scratch memory,
     # not a per-element loop — each iteration is one BLAS matmul
-    for start in range(0, rows, block_size):  # repro: allow[kernel-purity]
+    for start in range(0, rows, block_size):
         block_scores = matrix[start:start + block_size] @ query
         if row_bias is not None:
             block_scores = block_scores + row_bias[start:start + block_size]
@@ -307,7 +307,7 @@ def kmeans_assign(
     assignments = np.empty(points.shape[0], dtype=np.int64)
     # block sweep: bounds the (block, k) distance matrix instead of
     # materialising all n×k distances at once; one BLAS call per iteration
-    for start in range(0, points.shape[0], block_size):  # repro: allow[kernel-purity]
+    for start in range(0, points.shape[0], block_size):
         block = points[start:start + block_size]
         distances = centroid_norms[None, :] - 2.0 * (block @ centroids.T)
         assignments[start:start + block.shape[0]] = distances.argmin(axis=1)

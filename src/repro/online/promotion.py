@@ -197,7 +197,11 @@ class PromotionPipeline:
         self.lineage.directory.mkdir(parents=True, exist_ok=True)
         path = self.lineage.checkpoint_path(number)
         save_seqfm(candidate.scorer, path)
-        entry = self.registry.load(self.name, path, rebuild_index=True)
+        try:
+            entry = self.registry.load(self.name, path, rebuild_index=True)
+        except BaseException:
+            path.unlink()  # a refused candidate leaves no unrecorded checkpoint
+            raise
         self.reader.advance(tail.cursor)
         version = self.lineage.record(ModelVersion(
             version=number,

@@ -231,7 +231,7 @@ class UserSequenceStore:
 
     def _journal_op(self, op: str, user_id: Optional[int] = None,
                     entry: Optional[_CachedSequence] = None,
-                    events: Optional[Iterable[int]] = None) -> None:  # repro: locked[_lock]
+                    events: Optional[Iterable[int]] = None) -> None:  # caller holds _lock
         """Emit one journal record (no-op without an attached journal)."""
         if self._journal is None:
             return
@@ -246,7 +246,7 @@ class UserSequenceStore:
         self._journal(record)
 
     def _journal_put(self, op: str, user_id: int, entry: _CachedSequence,
-                     events: Optional[Iterable[int]] = None) -> None:  # repro: locked[_lock]
+                     events: Optional[Iterable[int]] = None) -> None:  # caller holds _lock
         """Journal a put *and* the eviction it will cause, before either lands."""
         self._journal_op(op, user_id, entry, events)
         if user_id not in self._cache and len(self._cache) >= self._cache.capacity:
@@ -296,7 +296,7 @@ class UserSequenceStore:
                 self._touch(user_id)
             return cached is not None
 
-    def _peek(self, user_id: int) -> Optional[_CachedSequence]:  # repro: locked[_lock]
+    def _peek(self, user_id: int) -> Optional[_CachedSequence]:  # caller holds _lock
         """The live cached entry, dropping (and counting) TTL-expired ones.
 
         Does not refresh recency: a read hit does that through
@@ -314,7 +314,7 @@ class UserSequenceStore:
             return None
         return cached
 
-    def _touch(self, user_id: int) -> None:  # repro: locked[_lock]
+    def _touch(self, user_id: int) -> None:  # caller holds _lock
         """Journal a read hit's recency refresh, then apply it."""
         self._journal_op("touch", user_id)
         self._cache.get(user_id)
@@ -367,7 +367,7 @@ class UserSequenceStore:
         indices, mask = zip(*rows)
         return np.stack(indices), np.stack(mask)
 
-    def _lookup(self, user_id: int, fingerprint: Optional[Tuple[int, ...]]):  # repro: locked[_lock]
+    def _lookup(self, user_id: int, fingerprint: Optional[Tuple[int, ...]]):  # caller holds _lock
         """One row's cache step: the entry answering ``fingerprint`` exactly,
         or the stored suffix for ``None`` (a cold user's miss seeds nothing)."""
         cached = self._peek(user_id)

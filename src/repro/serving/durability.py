@@ -303,7 +303,7 @@ class WriteAheadLog:
         with self._lock:
             self._sync_locked()
 
-    def _sync_locked(self) -> None:  # repro: locked[_lock]
+    def _sync_locked(self) -> None:
         self._file.flush()
         self._injector.hit("wal.fsync")
         os.fsync(self._file.fileno())

@@ -118,7 +118,7 @@ class FaultInjector:
         with self._lock:
             return sum(spec.fired for spec in self._specs.get(site, ()))
 
-    def _due(self, spec: FaultSpec, context: str) -> bool:  # repro: locked[_lock]
+    def _due(self, spec: FaultSpec, context: str) -> bool:  # caller holds _lock
         """Whether one eligible hit fires ``spec`` (advances its counters)."""
         if spec.match is not None and spec.match not in context:
             return False

@@ -2,9 +2,8 @@
 
 A serving, retrieval, online-learning or training process must import only
 what it runs: no scipy, no executor machinery (``concurrent.futures``,
-``multiprocessing``: serving is one loop), and none of the leaf tiers
-(``experiments``, ``baselines``, ``analysis``) that nothing below them may
-depend on.  The
+``multiprocessing``: serving is one loop), and neither of the leaf tiers
+(``experiments``, ``baselines``) that nothing below them may depend on.  The
 check is on the *set* of loaded modules in a fresh interpreter — never on
 seconds, which depend on the machine.
 
@@ -28,7 +27,7 @@ import repro
 from repro.eval.classification import _average_ranks, auc_score
 
 ENTRY_PACKAGES = ("repro.serving", "repro.retrieval", "repro.online", "repro.core.trainer")
-FORBIDDEN_PREFIXES = ("scipy", "repro.experiments", "repro.baselines", "repro.analysis",
+FORBIDDEN_PREFIXES = ("scipy", "repro.experiments", "repro.baselines",
                       "concurrent.futures", "multiprocessing")
 
 

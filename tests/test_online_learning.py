@@ -664,6 +664,7 @@ class TestPromotionPipeline:
         assert entry.index is index_before
         assert reader.cursor == LogCursor()
         assert ModelLineage(online).active is None
+        assert not lineage.checkpoint_path(1).exists()
 
     def test_promote_refuses_a_failed_verdict(self, ctx, trained_model,
                                               tmp_path):
