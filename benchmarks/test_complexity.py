@@ -10,6 +10,7 @@ measures (a) forward time as the batch size grows with everything else fixed
 from __future__ import annotations
 
 import time
+from typing import List, Tuple
 
 from benchmarks.conftest import export_text
 from repro.core.config import SeqFMConfig
@@ -18,12 +19,19 @@ from repro.data.features import FeatureBatch
 from repro.experiments.registry import build_context
 
 
-def _timed_forward(model: SeqFM, batch: FeatureBatch, repeats: int = 3) -> float:
-    best = float("inf")
+def _fastest_forwards(points: List[Tuple[SeqFM, FeatureBatch]], repeats: int) -> List[float]:
+    """Fastest of ``repeats`` forward times for each ``(model, batch)`` point.
+
+    The repeats are interleaved across the points, so a burst of load from
+    elsewhere on the machine slows one sample of several points rather than
+    every sample of one point.
+    """
+    best = [float("inf")] * len(points)
     for _ in range(repeats):
-        start = time.perf_counter()
-        model.score(batch)
-        best = min(best, time.perf_counter() - start)
+        for index, (model, batch) in enumerate(points):
+            start = time.perf_counter()
+            model.score(batch)
+            best[index] = min(best[index], time.perf_counter() - start)
     return best
 
 
@@ -37,7 +45,8 @@ def test_forward_time_linear_in_batch_size(scale):
     context = build_context("gowalla", scale=scale)
     model = SeqFM(context.seqfm_config())
     sizes = [256, 512, 1024, 2048]
-    times = [_timed_forward(model, _batch_of_size(context, size), repeats=5) for size in sizes]
+    times = _fastest_forwards([(model, _batch_of_size(context, size)) for size in sizes],
+                              repeats=5)
 
     lines = ["Forward wall-clock vs. batch size (fixed n°, n˙, d):"]
     for size, seconds in zip(sizes, times):
@@ -57,10 +66,8 @@ def test_forward_time_grows_with_embed_dim(scale):
     context = build_context("gowalla", scale=scale)
     dims = [8, 32, 128]
     batch = _batch_of_size(context, 256)
-    times = []
-    for dim in dims:
-        model = SeqFM(context.seqfm_config(embed_dim=dim))
-        times.append(_timed_forward(model, batch))
+    times = _fastest_forwards([(SeqFM(context.seqfm_config(embed_dim=dim)), batch)
+                               for dim in dims], repeats=3)
 
     print()
     print("Forward wall-clock vs. latent dimension d (batch=256):")

@@ -28,7 +28,6 @@ counted, never guessed at.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -122,7 +121,6 @@ class InteractionLogReader:
         self.wal_path = Path(wal_path)
         self.cursor_path = (Path(cursor_path) if cursor_path is not None
                             else self.wal_path.parent / CURSOR_NAME)
-        self._lock = threading.Lock()
         self._cursor = self._load_cursor()
 
     def _load_cursor(self) -> LogCursor:
@@ -132,8 +130,7 @@ class InteractionLogReader:
 
     @property
     def cursor(self) -> LogCursor:
-        with self._lock:
-            return self._cursor
+        return self._cursor
 
     # ------------------------------------------------------------------ #
     # Tailing
@@ -194,21 +191,17 @@ class InteractionLogReader:
         Refuses to move backwards — an older cursor would double-train the
         events in between, and idempotent retrains are the whole point.
         """
-        with self._lock:
-            if cursor.seq < self._cursor.seq:
-                raise ValueError(
-                    f"cursor cannot move backwards (seq {self._cursor.seq} "
-                    f"-> {cursor.seq}); pass since_seq explicitly to re-read"
-                )
-            # The cursor write must happen under the lock — check-then-write
-            # against the monotonicity guard above — and advance() is called
-            # once per retrain, never on the serving path.
-            atomic_write_text(
-                self.cursor_path,
-                json.dumps(cursor.as_dict(), separators=(",", ":"),
-                           sort_keys=True))
-            self._cursor = cursor
-            return cursor
+        if cursor.seq < self._cursor.seq:
+            raise ValueError(
+                f"cursor cannot move backwards (seq {self._cursor.seq} "
+                f"-> {cursor.seq}); pass since_seq explicitly to re-read"
+            )
+        atomic_write_text(
+            self.cursor_path,
+            json.dumps(cursor.as_dict(), separators=(",", ":"),
+                       sort_keys=True))
+        self._cursor = cursor
+        return cursor
 
 
 # --------------------------------------------------------------------------- #

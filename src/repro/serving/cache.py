@@ -17,7 +17,6 @@ through its journal hook, and :meth:`UserSequenceStore.snapshot` /
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -139,8 +138,8 @@ class _CachedSequence:
 
 
 #: Journal callback: receives one JSON-safe mutation record (``{"op": ...}``)
-#: *before* the mutation is applied, while the store lock is held.  Raising
-#: from the journal aborts the mutation — write-ahead semantics.
+#: *before* the mutation is applied.  Raising from the journal aborts the
+#: mutation — write-ahead semantics.
 JournalFn = Callable[[dict], None]
 
 
@@ -174,10 +173,8 @@ class UserSequenceStore:
     :meth:`history` reads the stored suffix back for requests that omit
     their history.
 
-    The store is **thread-safe**: one reentrant lock guards the LRU map and
-    every counter, so one store may be shared across threads.  Returned
-    arrays are never mutated in place (updates replace whole entries), so
-    callers may keep using them after the lock is released.
+    Returned arrays are never mutated in place (updates replace whole
+    entries), so callers may keep using them after later mutations.
 
     The store is **last-writer-wins**: a request carrying an explicit history
     re-encodes and *replaces* the user's stored suffix (that is how read
@@ -205,7 +202,6 @@ class UserSequenceStore:
         self._hits = 0
         self._misses = 0
         self._expired = 0
-        self._lock = threading.RLock()
         self._cache: LRUCache[int, _CachedSequence] = LRUCache(capacity)
         self._journal: Optional[JournalFn] = None
 
@@ -222,16 +218,15 @@ class UserSequenceStore:
         The journal receives one JSON-safe record for every state-affecting
         operation — writes, TTL expiries, evictions, and recency touches on
         read hits (the LRU order is part of :meth:`snapshot`'s bytes) —
-        *before* the mutation lands, under the store lock.  A journal that
-        raises aborts its operation, which is what lets a write-ahead log
-        stay a superset of the applied state.
+        *before* the mutation lands.  A journal that raises aborts its
+        operation, which is what lets a write-ahead log stay a superset of
+        the applied state.
         """
-        with self._lock:
-            self._journal = journal
+        self._journal = journal
 
     def _journal_op(self, op: str, user_id: Optional[int] = None,
                     entry: Optional[_CachedSequence] = None,
-                    events: Optional[Iterable[int]] = None) -> None:  # caller holds _lock
+                    events: Optional[Iterable[int]] = None) -> None:
         """Emit one journal record (no-op without an attached journal)."""
         if self._journal is None:
             return
@@ -246,7 +241,7 @@ class UserSequenceStore:
         self._journal(record)
 
     def _journal_put(self, op: str, user_id: int, entry: _CachedSequence,
-                     events: Optional[Iterable[int]] = None) -> None:  # caller holds _lock
+                     events: Optional[Iterable[int]] = None) -> None:
         """Journal a put *and* the eviction it will cause, before either lands."""
         self._journal_op(op, user_id, entry, events)
         if user_id not in self._cache and len(self._cache) >= self._cache.capacity:
@@ -263,40 +258,36 @@ class UserSequenceStore:
         are kept in the log so the interaction history is self-describing.
         """
         op = record["op"]
-        with self._lock:
-            if op in ("record", "append", "put"):
-                entry = self._encode_entry(
-                    tuple(int(item) for item in record["fp"]))
-                entry.stamp = float(record["stamp"])
-                self._cache.put(int(record["user"]), entry)
-            elif op == "touch":
-                self._cache.get(int(record["user"]))
-            elif op in ("del", "expire", "evict"):
-                self._cache.pop(int(record["user"]))
-            elif op == "clear":
-                self._cache.clear()
-            else:
-                raise ValueError(f"unknown journal op {op!r}")
+        if op in ("record", "append", "put"):
+            entry = self._encode_entry(
+                tuple(int(item) for item in record["fp"]))
+            entry.stamp = float(record["stamp"])
+            self._cache.put(int(record["user"]), entry)
+        elif op == "touch":
+            self._cache.get(int(record["user"]))
+        elif op in ("del", "expire", "evict"):
+            self._cache.pop(int(record["user"]))
+        elif op == "clear":
+            self._cache.clear()
+        else:
+            raise ValueError(f"unknown journal op {op!r}")
 
     @property
     def stats(self) -> CacheStats:
         """Store-level counters: a *hit* requires the fingerprint to match."""
-        with self._lock:
-            return CacheStats(hits=self._hits, misses=self._misses,
-                              evictions=self._cache.stats.evictions + self._expired)
+        return CacheStats(hits=self._hits, misses=self._misses,
+                          evictions=self._cache.stats.evictions + self._expired)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._cache)
+        return len(self._cache)
 
     def __contains__(self, user_id: int) -> bool:
-        with self._lock:
-            cached = self._peek(user_id)
-            if cached is not None:
-                self._touch(user_id)
-            return cached is not None
+        cached = self._peek(user_id)
+        if cached is not None:
+            self._touch(user_id)
+        return cached is not None
 
-    def _peek(self, user_id: int) -> Optional[_CachedSequence]:  # caller holds _lock
+    def _peek(self, user_id: int) -> Optional[_CachedSequence]:
         """The live cached entry, dropping (and counting) TTL-expired ones.
 
         Does not refresh recency: a read hit does that through
@@ -314,7 +305,7 @@ class UserSequenceStore:
             return None
         return cached
 
-    def _touch(self, user_id: int) -> None:  # caller holds _lock
+    def _touch(self, user_id: int) -> None:
         """Journal a read hit's recency refresh, then apply it."""
         self._journal_op("touch", user_id)
         self._cache.get(user_id)
@@ -327,8 +318,7 @@ class UserSequenceStore:
         :func:`repro.data.batching.pad_sequences` call.
         """
         fingerprint = tuple(int(item) for item in list(history)[-self.max_seq_len:])
-        with self._lock:
-            entry = self._lookup(user_id, fingerprint)
+        entry = self._lookup(user_id, fingerprint)
         return entry.indices, entry.mask
 
     def encode_stored(self, user_id: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -340,34 +330,31 @@ class UserSequenceStore:
         a miss) *without* seeding an entry, so a sweep of cold reads can
         never evict warm users' accumulated ``update``-head state.
         """
-        with self._lock:
-            entry = self._lookup(user_id, None)
+        entry = self._lookup(user_id, None)
         return entry.indices, entry.mask
 
     def encode_rows(self, user_ids: Sequence[int],
                     histories: Sequence[Optional[Sequence[int]]]) -> Tuple[np.ndarray, np.ndarray]:
         """Padded ``(B, max_seq_len)`` indices and mask for a column of rows.
 
-        Under one lock, each row takes the step :meth:`encode` (a history of
-        exact ``int``s) or :meth:`encode_stored` (``None``) would, in row
-        order.  A negative user id has no server state: its literal history
+        Each row takes the step :meth:`encode` (a history of exact
+        ``int``s) or :meth:`encode_stored` (``None``) would, in row order.  A negative user id has no server state: its literal history
         is padded without touching the store.
         """
         length = self.max_seq_len
         rows = []
-        with self._lock:
-            for user_id, history in zip(user_ids, histories):
-                if user_id >= 0:
-                    entry = self._lookup(
-                        user_id, None if history is None else tuple(history[-length:]))
-                    rows.append((entry.indices, entry.mask))
-                else:
-                    indices, mask = pad_sequences([history or ()], length, PADDING_INDEX)
-                    rows.append((indices[0], mask[0]))
+        for user_id, history in zip(user_ids, histories):
+            if user_id >= 0:
+                entry = self._lookup(
+                    user_id, None if history is None else tuple(history[-length:]))
+                rows.append((entry.indices, entry.mask))
+            else:
+                indices, mask = pad_sequences([history or ()], length, PADDING_INDEX)
+                rows.append((indices[0], mask[0]))
         indices, mask = zip(*rows)
         return np.stack(indices), np.stack(mask)
 
-    def _lookup(self, user_id: int, fingerprint: Optional[Tuple[int, ...]]):  # caller holds _lock
+    def _lookup(self, user_id: int, fingerprint: Optional[Tuple[int, ...]]):
         """One row's cache step: the entry answering ``fingerprint`` exactly,
         or the stored suffix for ``None`` (a cold user's miss seeds nothing)."""
         cached = self._peek(user_id)
@@ -389,24 +376,22 @@ class UserSequenceStore:
         This is what requests that omit their history are answered against
         (the v1-envelope "server-side sequence" semantic).
         """
-        with self._lock:
-            cached = self._peek(user_id)
-            if cached is not None:
-                self._touch(user_id)
-                return cached.fingerprint
-            return None
+        cached = self._peek(user_id)
+        if cached is not None:
+            self._touch(user_id)
+            return cached.fingerprint
+        return None
 
     def append_event(self, user_id: int, dynamic_index: int) -> None:
         """Extend a cached user's history by one event (no-op on cold users)."""
-        with self._lock:
-            cached = self._peek(user_id)
-            if cached is None:
-                return
-            suffix = (cached.fingerprint + (int(dynamic_index),))[-self.max_seq_len:]
-            entry = self._encode_entry(suffix)
-            self._journal_put("append", user_id, entry,
-                              events=(int(dynamic_index),))
-            self._cache.put(user_id, entry)
+        cached = self._peek(user_id)
+        if cached is None:
+            return
+        suffix = (cached.fingerprint + (int(dynamic_index),))[-self.max_seq_len:]
+        entry = self._encode_entry(suffix)
+        self._journal_put("append", user_id, entry,
+                          events=(int(dynamic_index),))
+        self._cache.put(user_id, entry)
 
     def record(self, user_id: int, events: Iterable[int]) -> _CachedSequence:
         """Append ``events`` to a user's stored sequence, creating it if cold.
@@ -417,14 +402,13 @@ class UserSequenceStore:
         Returns the updated entry (its ``fingerprint`` is the new suffix).
         """
         events = tuple(int(event) for event in events)
-        with self._lock:
-            cached = self._peek(user_id)
-            base = cached.fingerprint if cached is not None else ()
-            suffix = (base + events)[-self.max_seq_len:]
-            entry = self._encode_entry(suffix)
-            self._journal_put("record", user_id, entry, events=events)
-            self._cache.put(user_id, entry)
-            return entry
+        cached = self._peek(user_id)
+        base = cached.fingerprint if cached is not None else ()
+        suffix = (base + events)[-self.max_seq_len:]
+        entry = self._encode_entry(suffix)
+        self._journal_put("record", user_id, entry, events=events)
+        self._cache.put(user_id, entry)
+        return entry
 
     def _encode_entry(self, fingerprint: Tuple[int, ...]) -> _CachedSequence:
         indices, mask = pad_sequences([fingerprint], self.max_seq_len, PADDING_INDEX)
@@ -433,15 +417,13 @@ class UserSequenceStore:
 
     def invalidate(self, user_id: int) -> None:
         """Drop a user's cached encoding."""
-        with self._lock:
-            if user_id in self._cache:
-                self._journal_op("del", user_id)
-            self._cache.pop(user_id)
+        if user_id in self._cache:
+            self._journal_op("del", user_id)
+        self._cache.pop(user_id)
 
     def clear(self) -> None:
-        with self._lock:
-            self._journal_op("clear")
-            self._cache.clear()
+        self._journal_op("clear")
+        self._cache.clear()
 
     # ------------------------------------------------------------------ #
     # Snapshot / restore (checkpointing and replay)
@@ -456,16 +438,15 @@ class UserSequenceStore:
         (hits/misses/evictions) are runtime telemetry, not state, and are
         not captured.
         """
-        with self._lock:
-            return {
-                "max_seq_len": self.max_seq_len,
-                "capacity": self._cache.capacity,
-                "ttl": self.ttl,
-                "entries": [
-                    [user_id, list(entry.fingerprint), entry.stamp]
-                    for user_id, entry in self._cache.items()
-                ],
-            }
+        return {
+            "max_seq_len": self.max_seq_len,
+            "capacity": self._cache.capacity,
+            "ttl": self.ttl,
+            "entries": [
+                [user_id, list(entry.fingerprint), entry.stamp]
+                for user_id, entry in self._cache.items()
+            ],
+        }
 
     def restore(self, snapshot: dict) -> None:
         """Replace the resident state with a :meth:`snapshot`'s contents.
@@ -479,9 +460,8 @@ class UserSequenceStore:
                 f"snapshot was taken at max_seq_len={snapshot.get('max_seq_len')}, "
                 f"this store encodes at {self.max_seq_len}"
             )
-        with self._lock:
-            self._cache.clear()
-            for user_id, fingerprint, stamp in snapshot.get("entries", []):
-                entry = self._encode_entry(tuple(int(item) for item in fingerprint))
-                entry.stamp = float(stamp)
-                self._cache.put(int(user_id), entry)
+        self._cache.clear()
+        for user_id, fingerprint, stamp in snapshot.get("entries", []):
+            entry = self._encode_entry(tuple(int(item) for item in fingerprint))
+            entry.stamp = float(stamp)
+            self._cache.put(int(user_id), entry)

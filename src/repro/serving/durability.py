@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 import zlib
 from dataclasses import dataclass
@@ -237,9 +236,9 @@ class WriteAheadLog:
     crash could cost; :meth:`sync` closes it on demand and callers close it
     at every checkpoint and clean shutdown.
 
-    Thread-safe; a torn-write fault (injected or real ENOSPC mid-write)
-    marks the log **broken** — further appends refuse, and the owner must
-    recover by reopening, exactly as a crashed process would.
+    A torn-write fault (injected or real ENOSPC mid-write) marks the log
+    **broken** — further appends refuse, and the owner must recover by
+    reopening, exactly as a crashed process would.
     """
 
     def __init__(self, path: PathLike, fsync_every: int = 256,
@@ -250,7 +249,6 @@ class WriteAheadLog:
         self.path = Path(path)
         self.fsync_every = fsync_every
         self._injector = injector if injector is not None else NULL_INJECTOR
-        self._lock = threading.Lock()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._file = open(self.path, "ab")
         self._last_seq = int(start_seq)
@@ -269,41 +267,39 @@ class WriteAheadLog:
         written bytes and breaks the log (the crash-mid-write signature),
         ``wal.fsync`` fires inside the batched fsync.
         """
-        with self._lock:
-            if self._broken:
-                raise WALError(
-                    f"{self.path}: log is broken after a torn write; reopen "
-                    "to recover"
-                )
-            self._injector.hit("wal.append", context=str(record.get("op", "")))
-            seq = self._last_seq + 1
-            # The log owns sequencing: an (erroneous) caller-supplied "seq"
-            # must never override the assigned one.
-            data = _encode_line({**record, "seq": seq})
-            torn = self._injector.torn("wal.torn", data)
-            if torn is not None:
-                self._file.write(torn)
-                self._file.flush()
-                os.fsync(self._file.fileno())
-                self._broken = True
-                raise WALError(
-                    f"{self.path}: torn write after {len(torn)} of "
-                    f"{len(data)} bytes"
-                )
-            self._file.write(data)
-            self._last_seq = seq
-            self._appends += 1
-            self._pending += 1
-            if self._pending >= self.fsync_every:
-                self._sync_locked()
-            return seq
+        if self._broken:
+            raise WALError(
+                f"{self.path}: log is broken after a torn write; reopen "
+                "to recover"
+            )
+        self._injector.hit("wal.append", context=str(record.get("op", "")))
+        seq = self._last_seq + 1
+        # The log owns sequencing: an (erroneous) caller-supplied "seq"
+        # must never override the assigned one.
+        data = _encode_line({**record, "seq": seq})
+        torn = self._injector.torn("wal.torn", data)
+        if torn is not None:
+            self._file.write(torn)
+            self._file.flush()
+            os.fsync(self._file.fileno())
+            self._broken = True
+            raise WALError(
+                f"{self.path}: torn write after {len(torn)} of "
+                f"{len(data)} bytes"
+            )
+        self._file.write(data)
+        self._last_seq = seq
+        self._appends += 1
+        self._pending += 1
+        if self._pending >= self.fsync_every:
+            self._sync()
+        return seq
 
     def sync(self) -> None:
         """Flush and fsync everything appended so far (``lag`` → 0)."""
-        with self._lock:
-            self._sync_locked()
+        self._sync()
 
-    def _sync_locked(self) -> None:
+    def _sync(self) -> None:
         self._file.flush()
         self._injector.hit("wal.fsync")
         os.fsync(self._file.fileno())
@@ -319,53 +315,52 @@ class WriteAheadLog:
         sequence is reconstructible from the snapshot, so only the tail is
         kept.  Returns the number of records retained.
         """
-        with self._lock:
-            self._file.flush()
-            scan = read_wal(self.path)
-            keep = [record for record in scan.records
-                    if int(record["seq"]) > snapshot_seq]
-            self._file.close()
-            with atomic_write(self.path, "wb") as handle:
-                for record in keep:
-                    handle.write(_encode_line(record))
-            self._file = open(self.path, "ab")
-            self._pending = 0
-            self._synced_seq = self._last_seq
-            self._broken = False
-            return len(keep)
+        self._file.flush()
+        scan = read_wal(self.path)
+        keep = [record for record in scan.records
+                if int(record["seq"]) > snapshot_seq]
+        self._file.close()
+        with atomic_write(self.path, "wb") as handle:
+            for record in keep:
+                handle.write(_encode_line(record))
+        self._file = open(self.path, "ab")
+        self._pending = 0
+        self._synced_seq = self._last_seq
+        self._broken = False
+        return len(keep)
+
+    @property
+    def closed(self) -> bool:
+        return self._file.closed
 
     def close(self) -> None:
-        with self._lock:
-            if self._file.closed:
-                return
-            if not self._broken:
-                self._sync_locked()
-            self._file.close()
+        if self.closed:
+            return
+        if not self._broken:
+            self._sync()
+        self._file.close()
 
     # -- observability --------------------------------------------------- #
     @property
     def last_seq(self) -> int:
-        with self._lock:
-            return self._last_seq
+        return self._last_seq
 
     @property
     def synced_seq(self) -> int:
-        with self._lock:
-            return self._synced_seq
+        return self._synced_seq
 
     def status(self) -> dict:
         """Counters for the ``status`` head: lag is the crash-loss window."""
-        with self._lock:
-            return {
-                "path": str(self.path),
-                "last_seq": self._last_seq,
-                "synced_seq": self._synced_seq,
-                "lag": self._last_seq - self._synced_seq,
-                "appends": self._appends,
-                "fsyncs": self._fsyncs,
-                "fsync_every": self.fsync_every,
-                "broken": self._broken,
-            }
+        return {
+            "path": str(self.path),
+            "last_seq": self._last_seq,
+            "synced_seq": self._synced_seq,
+            "lag": self._last_seq - self._synced_seq,
+            "appends": self._appends,
+            "fsyncs": self._fsyncs,
+            "fsync_every": self.fsync_every,
+            "broken": self._broken,
+        }
 
 
 # --------------------------------------------------------------------------- #
@@ -450,7 +445,6 @@ class DurableSequenceStore:
         self._injector = injector if injector is not None else NULL_INJECTOR
         self._snapshot_path = self.directory / _SNAPSHOT_NAME
         self._wal_path = self.directory / _WAL_NAME
-        self._checkpoint_lock = threading.Lock()
 
         doc = load_snapshot_doc(self._snapshot_path)
         self._store = UserSequenceStore(max_seq_len, capacity=capacity,
@@ -486,10 +480,6 @@ class DurableSequenceStore:
             handle.flush()
             os.fsync(handle.fileno())
 
-    # The store invokes this sink while holding its own lock (journal-
-    # before-mutation), so the WAL lock nests inside the store lock:
-    # UserSequenceStore._lock is always taken before WriteAheadLog._lock,
-    # never the other way round.
     def _journal_sink(self, record: dict) -> None:
         """The inner store's journal: every mutation record → WAL append."""
         self._wal.append(record)
@@ -499,36 +489,30 @@ class DurableSequenceStore:
     # ------------------------------------------------------------------ #
     def checkpoint(self) -> int:
         """Persist ``snapshot()`` atomically and compact the log; returns
-        the checkpointed sequence.
-
-        Safe under concurrent traffic: any mutation journaled after the
-        sequence was read lands *above* the checkpoint sequence and is kept
-        by compaction; if it also made it into the snapshot, replay
-        re-applies it idempotently.
-        """
-        with self._checkpoint_lock:
-            seq = self._wal.last_seq
-            state = self._store.snapshot()
-            self._wal.sync()
-            doc = {"format": _SNAPSHOT_FORMAT, "kind": _SNAPSHOT_KIND,
-                   "seq": seq, "state": state}
-            # Persisting the snapshot and compacting under the checkpoint
-            # lock is the point — one checkpoint at a time, serialized
-            # against close().  Serving traffic takes the store/WAL locks,
-            # never this one, so it does not stall behind the I/O.
-            atomic_write_text(self._snapshot_path,
-                              json.dumps(doc, separators=(",", ":"),
-                                         sort_keys=True))
-            self._wal.compact(seq)
-            self._snapshot_seq = seq
-            return seq
+        the checkpointed sequence."""
+        seq = self._wal.last_seq
+        state = self._store.snapshot()
+        self._wal.sync()
+        doc = {"format": _SNAPSHOT_FORMAT, "kind": _SNAPSHOT_KIND,
+               "seq": seq, "state": state}
+        atomic_write_text(self._snapshot_path,
+                          json.dumps(doc, separators=(",", ":"),
+                                     sort_keys=True))
+        self._wal.compact(seq)
+        self._snapshot_seq = seq
+        return seq
 
     def sync(self) -> None:
         """Force the WAL to disk (``lag`` → 0) without checkpointing."""
         self._wal.sync()
 
     def close(self) -> None:
-        """Checkpoint and release the log (the clean-shutdown path)."""
+        """Checkpoint and release the log (the clean-shutdown path).
+
+        A second call is a no-op: the first already checkpointed.
+        """
+        if self._wal.closed:
+            return
         self.checkpoint()
         self._wal.close()
 

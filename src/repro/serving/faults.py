@@ -7,19 +7,16 @@ miserable to reproduce.  :class:`FaultInjector` makes them cheap and
 (``"wal.append"``, ``"wal.torn"``, ``"wal.fsync"``, ``"store.record"``).
 Production code calls :meth:`FaultInjector.hit` at each site; with no spec
 armed that is one dict lookup, so the hooks stay in the hot path
-permanently.  Tests arm :class:`FaultSpec` objects (raise / delay / torn
-byte truncation, with probability, count and trigger-offset controls) and
-replay the exact same failure schedule from the same seed.
+permanently.  Tests arm :class:`FaultSpec` objects (raise / torn byte
+truncation, with probability, count and trigger-offset controls) and replay
+the exact same failure schedule from the same seed.
 
-Everything here is dependency-free and importable from kernels to tests;
-the injector is thread-safe so concurrent callers can share one schedule.
+Everything here is dependency-free and importable from kernels to tests.
 """
 
 from __future__ import annotations
 
 import random
-import threading
-import time
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -42,9 +39,9 @@ class FaultSpec:
     site:
         The site name the spec listens on.
     kind:
-        ``"raise"`` (throw :class:`InjectedFault`), ``"delay"`` (sleep
-        ``delay`` seconds), or ``"torn"`` (truncate the bytes offered to
-        :meth:`FaultInjector.torn` — the torn-write/partial-append fault).
+        ``"raise"`` (throw :class:`InjectedFault`) or ``"torn"`` (truncate
+        the bytes offered to :meth:`FaultInjector.torn` — the
+        torn-write/partial-append fault).
     probability:
         Chance an eligible hit fires, drawn from the spec's own seeded RNG
         so schedules replay exactly.  ``1.0`` fires every eligible hit.
@@ -53,8 +50,6 @@ class FaultSpec:
     after:
         Skip the first ``after`` eligible hits before becoming live —
         "fail the third append" is ``after=2, times=1``.
-    delay:
-        Sleep length for ``kind="delay"``.
     keep_bytes:
         For ``kind="torn"``: bytes of the offered payload to keep.  ``0``
         keeps the first half.
@@ -68,23 +63,22 @@ class FaultSpec:
     probability: float = 1.0
     times: Optional[int] = None
     after: int = 0
-    delay: float = 0.0
     keep_bytes: int = 0
     match: Optional[str] = None
-    #: Bookkeeping (mutated under the injector's lock).
+    #: Bookkeeping (advanced by the injector on every eligible hit).
     fired: int = 0
     seen: int = 0
     _rng: random.Random = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.kind not in ("raise", "delay", "torn"):
+        if self.kind not in ("raise", "torn"):
             raise ValueError(f"unknown fault kind {self.kind!r}")
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError("probability must be in [0, 1]")
 
 
 class FaultInjector:
-    """A seeded, thread-safe schedule of failures at named sites.
+    """A seeded schedule of failures at named sites.
 
     The same seed and the same sequence of ``hit``/``torn`` calls produce
     the same firings — fault tests are reproducible runs, not dice rolls.
@@ -95,30 +89,26 @@ class FaultInjector:
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
-        self._lock = threading.Lock()
         self._specs: Dict[str, List[FaultSpec]] = {}
 
     def arm(self, site: str, kind: str = "raise", **kwargs) -> FaultSpec:
         """Arm one :class:`FaultSpec` at ``site``; returns it for inspection."""
         spec = FaultSpec(site=site, kind=kind, **kwargs)
-        with self._lock:
-            bucket = self._specs.setdefault(site, [])
-            token = f"{self.seed}:{site}:{len(bucket)}"
-            spec._rng = random.Random(zlib.crc32(token.encode("utf-8")))
-            bucket.append(spec)
+        bucket = self._specs.setdefault(site, [])
+        token = f"{self.seed}:{site}:{len(bucket)}"
+        spec._rng = random.Random(zlib.crc32(token.encode("utf-8")))
+        bucket.append(spec)
         return spec
 
     def reset(self) -> None:
         """Disarm everything (counters on returned specs are preserved)."""
-        with self._lock:
-            self._specs = {}
+        self._specs = {}
 
     def fired(self, site: str) -> int:
         """Total firings at ``site`` across all armed specs."""
-        with self._lock:
-            return sum(spec.fired for spec in self._specs.get(site, ()))
+        return sum(spec.fired for spec in self._specs.get(site, ()))
 
-    def _due(self, spec: FaultSpec, context: str) -> bool:  # caller holds _lock
+    def _due(self, spec: FaultSpec, context: str) -> bool:
         """Whether one eligible hit fires ``spec`` (advances its counters)."""
         if spec.match is not None and spec.match not in context:
             return False
@@ -133,26 +123,12 @@ class FaultInjector:
         return True
 
     def hit(self, site: str, context: str = "") -> None:
-        """Pass through ``site``: sleep and/or raise per the armed specs."""
+        """Pass through ``site``: raise if an armed ``raise`` spec fires."""
         if not self._specs:
             return
-        delay = 0.0
-        fault: Optional[InjectedFault] = None
-        with self._lock:
-            for spec in self._specs.get(site, ()):
-                if spec.kind == "torn":
-                    continue
-                if not self._due(spec, context):
-                    continue
-                if spec.kind == "delay":
-                    delay = max(delay, spec.delay)
-                else:
-                    fault = InjectedFault(site)
-                    break
-        if delay > 0.0:
-            time.sleep(delay)
-        if fault is not None:
-            raise fault
+        for spec in self._specs.get(site, ()):
+            if spec.kind == "raise" and self._due(spec, context):
+                raise InjectedFault(site)
 
     def torn(self, site: str, data: bytes, context: str = "") -> Optional[bytes]:
         """The truncated payload a torn-write fault leaves, or ``None``.
@@ -163,13 +139,10 @@ class FaultInjector:
         """
         if not self._specs:
             return None
-        with self._lock:
-            for spec in self._specs.get(site, ()):
-                if spec.kind != "torn":
-                    continue
-                if self._due(spec, context):
-                    keep = spec.keep_bytes if spec.keep_bytes > 0 else max(1, len(data) // 2)
-                    return data[:min(keep, len(data) - 1)]
+        for spec in self._specs.get(site, ()):
+            if spec.kind == "torn" and self._due(spec, context):
+                keep = spec.keep_bytes if spec.keep_bytes > 0 else max(1, len(data) // 2)
+                return data[:min(keep, len(data) - 1)]
         return None
 
 

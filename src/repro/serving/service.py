@@ -40,7 +40,6 @@ server-side sequence, maintained by the stateful ``update`` head::
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 from typing import IO, Dict, Iterable, Optional
 
@@ -136,21 +135,12 @@ class ServeSummary:
     error_codes:
         How many errored lines carried each stable error code — the
         operator-facing breakdown (``{"bad_request": 2, "bad_json": 1}``).
-
-    The summary is **thread-safe**: every mutation goes through one internal
-    lock (:meth:`record_line`, :meth:`record_rows`, :meth:`record_error`,
-    :meth:`merge`) and :meth:`counts` copies under it, so counts recorded
-    from several threads sum exactly — regression-tested, because a torn
-    ``+=`` under load is the kind of bug a happy-path demo never shows.
     """
 
     rows: int = 0
     lines: int = 0
     errors: int = 0
     error_codes: Dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self._lock = threading.Lock()
 
     @property
     def served(self) -> int:
@@ -159,42 +149,24 @@ class ServeSummary:
 
     def record_line(self, count: int = 1) -> None:
         """Count ``count`` consumed input lines."""
-        with self._lock:
-            self.lines += count
+        self.lines += count
 
     def record_rows(self, rows: int) -> None:
         """Count one successfully answered line worth ``rows`` result rows."""
-        with self._lock:
-            self.rows += rows
+        self.rows += rows
 
     def record_error(self, code: str) -> None:
-        with self._lock:
-            self.errors += 1
-            self.error_codes[code] = self.error_codes.get(code, 0) + 1
+        self.errors += 1
+        self.error_codes[code] = self.error_codes.get(code, 0) + 1
 
     def counts(self) -> Dict[str, object]:
-        """A consistent copy of every counter (the ``status`` head's view)."""
-        with self._lock:
-            return {
-                "lines": self.lines,
-                "rows": self.rows,
-                "errors": self.errors,
-                "error_codes": dict(self.error_codes),
-            }
-
-    def merge(self, other: "ServeSummary") -> None:
-        """Fold another summary into this one (all counters summed)."""
-        if other is self:
-            raise ValueError("cannot merge a summary into itself")
-        with other._lock:
-            rows, lines, errors = other.rows, other.lines, other.errors
-            codes = dict(other.error_codes)
-        with self._lock:
-            self.rows += rows
-            self.lines += lines
-            self.errors += errors
-            for code, count in codes.items():
-                self.error_codes[code] = self.error_codes.get(code, 0) + count
+        """A copy of every counter (the ``status`` head's view)."""
+        return {
+            "lines": self.lines,
+            "rows": self.rows,
+            "errors": self.errors,
+            "error_codes": dict(self.error_codes),
+        }
 
 
 def serve_jsonl(

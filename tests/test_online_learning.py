@@ -30,7 +30,9 @@ Proves the contract of :mod:`repro.online` end to end:
 from __future__ import annotations
 
 import json
-import threading
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -112,6 +114,27 @@ def make_wal(path, count, start=0):
                     "fp": [1, 2], "stamp": 0.0, "events": [1 + i % 4]})
     wal.sync()
     return wal
+
+
+#: Appends ``2 * half`` records through a durable store, pausing after
+#: ``half`` until a line arrives on stdin.  It exits without ``close()``,
+#: which would checkpoint and compact the log away; ``fsync_every=1`` makes
+#: every record durable when ``record`` returns.
+CHILD_WRITER = """
+import sys
+from repro.serving import DurableSequenceStore
+store = DurableSequenceStore(sys.argv[1], max_seq_len=8, fsync_every=1)
+half = int(sys.argv[2])
+for i in range(2 * half):
+    if i == half:
+        print("paused", flush=True)
+        sys.stdin.readline()
+    store.record(i % 5, [1 + i % 7])
+"""
+
+
+def interaction_rows(tail):
+    return [(i.seq, i.user_id, i.events) for i in tail.interactions]
 
 
 # --------------------------------------------------------------------------- #
@@ -286,55 +309,69 @@ class TestInteractionLogReader:
         assert cursor_path.exists()
         assert json.loads(cursor_path.read_text())["seq"] == 2
 
-    def test_tails_while_another_thread_advances_lose_and_double_nothing(
-            self, tmp_path):
-        """The cursor moves record by record on one thread while another
-        tails from it: every tail starts at a real cursor and holds exactly
-        the records past it."""
-        total = 40
+    def test_cursor_stays_monotone_across_reader_restarts(self, tmp_path):
+        """Each restart resumes at the persisted cursor, tails exactly the
+        records past it, and refuses every cursor behind it."""
+        total = 12
         make_wal(tmp_path / WAL_NAME, total).close()
         data = (tmp_path / WAL_NAME).read_bytes()
         ends = [index + 1 for index, byte in enumerate(data) if byte == ord("\n")]
-        cursors = [LogCursor(seq=seq, offset=end)
-                   for seq, end in enumerate(ends, start=1)]
+        cursors = [LogCursor(), *(LogCursor(seq=seq, offset=end)
+                                  for seq, end in enumerate(ends, start=1))]
+        for step, cursor in enumerate(cursors[1:], start=1):
+            reader = InteractionLogReader(tmp_path / WAL_NAME)
+            assert reader.cursor == cursors[step - 1]
+            assert [i.seq for i in reader.tail().interactions] == \
+                list(range(step, total + 1))
+            persisted = (tmp_path / CURSOR_NAME).read_bytes() if step > 1 else None
+            for behind in cursors[:step - 1]:
+                with pytest.raises(ValueError, match="backwards"):
+                    reader.advance(behind)
+            if persisted is not None:
+                assert (tmp_path / CURSOR_NAME).read_bytes() == persisted
+            reader.advance(cursor)
+        reborn = InteractionLogReader(tmp_path / WAL_NAME)
+        assert reborn.cursor == cursors[-1]
+        assert reborn.tail().interactions == []
+
+    def test_tails_a_log_another_process_appends_to(self, tmp_path):
+        """A child process appends through a durable store while this one
+        tails the log: every tail is a prefix of the final log."""
+        half = 150
+        child = subprocess.Popen(
+            [sys.executable, "-c", CHILD_WRITER, str(tmp_path), str(half)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, sys.path))})
         reader = InteractionLogReader(tmp_path / WAL_NAME)
-        tails, errors = [], []
-        done = threading.Event()
+        full_tails, stream = [], []
 
-        def advance_all() -> None:
-            try:
-                for cursor in cursors:
-                    reader.advance(cursor)
-            except Exception as error:  # noqa: BLE001 — reported to the main thread
-                errors.append(error)
-            finally:
-                done.set()
+        def tail_once() -> None:
+            full_tails.append(interaction_rows(reader.tail(LogCursor())))
+            step = reader.tail()
+            stream.extend(interaction_rows(step))
+            reader.advance(step.cursor)
 
-        def tail_until_done() -> None:
-            try:
-                while True:
-                    tails.append(reader.tail())
-                    if done.is_set():
-                        return
-            except Exception as error:  # noqa: BLE001 — reported to the main thread
-                errors.append(error)
-
-        pool = [threading.Thread(target=advance_all),
-                threading.Thread(target=tail_until_done)]
-        for thread in pool:
-            thread.start()
-        for thread in pool:
-            thread.join(timeout=60)
-            assert not thread.is_alive(), "log reader thread deadlocked"
-        assert errors == []
-        real = {LogCursor(), *cursors}
-        for tail in tails:
-            assert tail.start in real
-            assert [i.seq for i in tail.interactions] == \
-                list(range(tail.start.seq + 1, total + 1))
-            assert tail.compacted_gap == 0
-        assert reader.cursor == cursors[-1]
-        assert reader.tail().interactions == []
+        try:
+            assert child.stdout.readline() == "paused\n"
+            tail_once()   # the writer is paused after exactly `half` records
+            assert len(full_tails[0]) == half
+            child.stdin.write("go\n")
+            child.stdin.flush()
+            while child.poll() is None:
+                tail_once()
+        finally:
+            if child.poll() is None:
+                child.kill()
+            child.wait(timeout=60)
+        assert child.returncode == 0
+        tail_once()
+        log = [(int(record["seq"]), int(record["user"]), tuple(record["events"]))
+               for record in read_wal(tmp_path / WAL_NAME).records]
+        assert len(log) == 2 * half
+        for tail in full_tails:
+            assert tail == log[:len(tail)]
+        assert full_tails[-1] == log
+        assert stream == log
 
     def test_cursor_format_guard(self, tmp_path):
         (tmp_path / CURSOR_NAME).write_text(

@@ -26,8 +26,6 @@ import json
 import os
 import shutil
 import sys
-import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -417,17 +415,10 @@ class TestFaultDeterminism:
         greedy.arm("wal.torn", kind="torn", keep_bytes=100)
         assert greedy.torn("wal.torn", data) == data[:-1]  # never the whole record
 
-    def test_delay_sleeps_and_never_raises(self):
-        injector = FaultInjector(seed=0)
-        injector.arm("wal.fsync", kind="delay", delay=0.02, times=1)
-        started = time.monotonic()
-        injector.hit("wal.fsync")
-        assert time.monotonic() - started >= 0.02
-        assert injector.fired("wal.fsync") == 1
-
     @pytest.mark.parametrize("options", [{"kind": "explode"},
                                          {"probability": 1.5},
-                                         {"probability": -0.1}])
+                                         {"probability": -0.1},
+                                         {"kind": "delay"}])
     def test_invalid_specs_are_rejected(self, options):
         with pytest.raises(ValueError):
             FaultInjector(seed=0).arm("site", **options)
@@ -553,116 +544,122 @@ class TestDurableChaos:
 
 
 # --------------------------------------------------------------------------- #
-# Concurrent writers share one store and one log
+# Interleaved writers on one store and one log
 # --------------------------------------------------------------------------- #
-def run_writers(store, writers: int = 4, records: int = 60):
-    """Threads record disjoint users' events.
+def write_interleaved(store, writers: int = 4, records: int = 60,
+                      checkpoint_at: int = 0):
+    """Round-robin ``writers`` clients, each recording its own three users.
 
+    Checkpoints once after ``checkpoint_at`` calls when it is positive.
     Returns each user's accepted events in order, and the ``(user, event)``
     pairs an injected fault refused.
     """
     accepted = {}
     refused = []
-    errors = []
-
-    def write(worker: int) -> None:
-        try:
-            for index in range(records):
-                user = worker * 3 + index % 3
-                event = (worker + index) % 10
-                try:
-                    store.record(user, [event])
-                except InjectedFault:
-                    refused.append((user, event))
-                else:
-                    accepted.setdefault(user, []).append(event)
-        except Exception as error:  # noqa: BLE001 — reported to the main thread
-            errors.append(error)
-
-    pool = [threading.Thread(target=write, args=(worker,))
-            for worker in range(writers)]
-    for thread in pool:
-        thread.start()
-    for thread in pool:
-        thread.join(timeout=60)
-        assert not thread.is_alive(), "writer thread deadlocked"
-    assert errors == []
+    for index in range(records):
+        for worker in range(writers):
+            if checkpoint_at and index * writers + worker == checkpoint_at:
+                store.checkpoint()
+            user = worker * 3 + index % 3
+            event = (worker + index) % 10
+            try:
+                store.record(user, [event])
+            except InjectedFault:
+                refused.append((user, event))
+            else:
+                accepted.setdefault(user, []).append(event)
     return accepted, refused
 
 
-class TestConcurrentWriters:
-    def test_no_record_is_lost_or_reordered_across_reopen(self, tmp_path):
+def logged_events(records, user):
+    return [record["events"][0] for record in records if record["user"] == user]
+
+
+class TestInterleavedWriters:
+    @pytest.mark.parametrize("checkpoint_at", [0, 100],
+                             ids=["no_checkpoint", "checkpoint_midway"])
+    def test_per_user_order_and_seq_density_survive_reopen(
+            self, tmp_path, checkpoint_at):
         store = DurableSequenceStore(tmp_path, MAX_SEQ_LEN, capacity=64,
                                      fsync_every=8)
-        written, refused = run_writers(store)
+        written, refused = write_interleaved(store, checkpoint_at=checkpoint_at)
         assert refused == []
         store.sync()
-        scan = read_wal(tmp_path / "wal.jsonl")
-        assert [record["seq"] for record in scan.records] == \
-            list(range(1, len(written) * 20 + 1))
-        for user, events in written.items():
-            logged = [record["events"][0] for record in scan.records
-                      if record["user"] == user]
-            assert logged == events          # per-user order survives
-            assert store.history(user) == tuple(events[-MAX_SEQ_LEN:])
         expected = store.snapshot()
         store._wal.close()   # crash without checkpoint
 
+        # The log holds exactly the records past the checkpoint, densely.
+        scan = read_wal(tmp_path / "wal.jsonl")
+        assert [record["seq"] for record in scan.records] == \
+            list(range(checkpoint_at + 1, 4 * 60 + 1))
         recovered = DurableSequenceStore(tmp_path, MAX_SEQ_LEN, capacity=64)
+        assert recovered.recovery.snapshot_seq == checkpoint_at
+        assert recovered.recovery.replayed == 4 * 60 - checkpoint_at
         assert recovered.snapshot() == expected
-        recovered.close()
-
-    def test_checkpoints_during_traffic_lose_nothing(self, tmp_path):
-        store = DurableSequenceStore(tmp_path, MAX_SEQ_LEN, capacity=64,
-                                     fsync_every=4)
-        stop = threading.Event()
-        checkpoints = []
-
-        def checkpoint_loop() -> None:
-            while not stop.is_set():
-                checkpoints.append(store.checkpoint())
-
-        checkpointer = threading.Thread(target=checkpoint_loop)
-        checkpointer.start()
-        try:
-            written, refused = run_writers(store)
-        finally:
-            stop.set()
-            checkpointer.join(timeout=60)
-        assert not checkpointer.is_alive(), "checkpoint thread deadlocked"
-        assert refused == []
-        assert checkpoints == sorted(checkpoints)
         for user, events in written.items():
-            assert store.history(user) == tuple(events[-MAX_SEQ_LEN:])
-        expected = store.snapshot()
-        store.sync()
-        store._wal.close()   # crash after the last checkpoint
-
-        recovered = DurableSequenceStore(tmp_path, MAX_SEQ_LEN, capacity=64)
-        assert recovered.snapshot() == expected
+            logged = logged_events(scan.records, user)
+            assert logged == events[len(events) - len(logged):]
+            assert recovered.history(user) == tuple(events[-MAX_SEQ_LEN:])
         recovered.close()
 
-    def test_append_faults_under_contention_fail_exactly_their_records(
+    def test_append_fault_after_n_records_fails_exactly_its_records(
             self, tmp_path):
-        """Writers race through WriteAheadLog._lock into FaultInjector._lock:
-        exactly ``times`` records fail, every other one is logged in
-        per-user order."""
         injector = FaultInjector(seed=0)
         injector.arm("wal.append", kind="raise", after=20, times=7)
         store = DurableSequenceStore(tmp_path, MAX_SEQ_LEN, capacity=64,
                                      fsync_every=8, injector=injector)
-        accepted, refused = run_writers(store)
-        assert len(refused) == 7 == injector.fired("wal.append")
+        accepted, refused = write_interleaved(store)
+        # Calls 21..27 fail, in the round-robin order they were made.
+        calls = [(worker * 3 + index % 3, (worker + index) % 10)
+                 for index in range(60) for worker in range(4)]
+        assert refused == calls[20:27]
+        assert injector.fired("wal.append") == 7
         store.sync()
         scan = read_wal(tmp_path / "wal.jsonl")
         assert [record["seq"] for record in scan.records] == \
             list(range(1, 4 * 60 - 7 + 1))
         for user, events in accepted.items():
-            logged = [record["events"][0] for record in scan.records
-                      if record["user"] == user]
-            assert logged == events
+            assert logged_events(scan.records, user) == events
             assert store.history(user) == tuple(events[-MAX_SEQ_LEN:])
         store.close()
+
+    @pytest.mark.parametrize("op", ["record", "append", "put", "touch", "del",
+                                    "clear"])
+    def test_refused_journal_record_aborts_its_mutation(self, tmp_path, op):
+        injector = FaultInjector(seed=0)
+        store = DurableSequenceStore(tmp_path, MAX_SEQ_LEN, capacity=8,
+                                     fsync_every=1, injector=injector)
+        store.record(1, [1, 2])
+        store.record(2, [3])
+        before = store.snapshot()
+        last_seq = store.wal_status()["last_seq"]
+        injector.arm("wal.append", kind="raise", match=op, times=1)
+        mutate = {"record": lambda: store.record(3, [4]),
+                  "append": lambda: store.append_event(1, 5),
+                  "put": lambda: store.encode(2, [6, 7]),
+                  "touch": lambda: store.history(1),
+                  "del": lambda: store.invalidate(2),
+                  "clear": store.clear}[op]
+        with pytest.raises(InjectedFault):
+            mutate()
+        assert store.snapshot() == before
+        assert store.wal_status()["last_seq"] == last_seq
+        store._wal.close()   # crash without checkpoint
+
+        recovered = DurableSequenceStore(tmp_path, MAX_SEQ_LEN, capacity=8)
+        assert recovered.snapshot() == before
+        recovered.close()
+
+    def test_second_close_is_a_no_op(self, tmp_path):
+        store = DurableSequenceStore(tmp_path, MAX_SEQ_LEN, fsync_every=4)
+        store.record(1, [1, 2])
+        store.record(2, [3])
+        expected = store.snapshot()
+        store.close()
+        store.close()
+        recovered = DurableSequenceStore(tmp_path, MAX_SEQ_LEN)
+        assert recovered.snapshot() == expected
+        recovered.close()
 
 
 # --------------------------------------------------------------------------- #

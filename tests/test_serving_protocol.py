@@ -7,7 +7,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,6 @@ from repro.serving import (
     ModelRegistry,
     ProtocolError,
     ServeDefaults,
-    ServeSummary,
     ServingRouter,
     UserSequenceStore,
     default_heads,
@@ -682,44 +680,28 @@ class TestGoldenWireFormat:
 
 
 # --------------------------------------------------------------------------- #
-# ServeSummary thread-safety
+# ServeSummary counters over a stream
 # --------------------------------------------------------------------------- #
-class TestServeSummaryThreadSafety:
-    def test_contended_counters_sum_exactly(self):
-        summary = ServeSummary()
-        threads, per_thread = 8, 500
-
-        def hammer():
-            for i in range(per_thread):
-                summary.record_line()
-                summary.record_rows(2)
-                summary.record_error("execution_error" if i % 2 else "bad_request")
-
-        pool = [threading.Thread(target=hammer) for _ in range(threads)]
-        for thread in pool:
-            thread.start()
-        for thread in pool:
-            thread.join(timeout=60)
-            assert not thread.is_alive(), "summary thread deadlocked"
-        assert summary.lines == threads * per_thread
-        assert summary.rows == threads * per_thread * 2
-        assert summary.errors == threads * per_thread
-        assert summary.error_codes["execution_error"] == threads * per_thread // 2
-        assert summary.error_codes["bad_request"] == threads * per_thread // 2
-
-    def test_merge_accumulates_every_counter(self):
-        first, second = ServeSummary(), ServeSummary()
-        first.record_line()
-        first.record_rows(3)
-        second.record_line()
-        second.record_error("bad_json")
-        first.merge(second)
-        assert first.lines == 2
-        assert first.rows == 3
-        assert first.errors == 1
-        assert first.error_codes == {"bad_json": 1}
-
-    def test_merge_into_itself_is_rejected(self):
-        summary = ServeSummary()
-        with pytest.raises(ValueError):
-            summary.merge(summary)
+class TestServeSummary:
+    def test_counts_sum_exactly_over_a_serial_stream(self, registry):
+        """Each line kind lands in exactly one counter; 30 rounds sum exactly."""
+        kinds = [
+            (json.dumps(SCORE_PAYLOAD), 1, None),
+            (json.dumps([SCORE_PAYLOAD] * 3), 3, None),
+            ("{not json", 0, ERR_BAD_JSON),
+            (json.dumps({"v": 1, "payload": {}}), 0, ERR_BAD_REQUEST),
+            (json.dumps({"v": 1, "head": "frobnicate", "payload": {}}), 0,
+             ERR_UNKNOWN_HEAD),
+        ]
+        rounds = 30
+        summary, responses = serve_lines(
+            registry, [line for _ in range(rounds) for line, _, _ in kinds])
+        codes = [code for _, _, code in kinds if code is not None]
+        assert summary.counts() == {
+            "lines": rounds * len(kinds),
+            "rows": rounds * sum(rows for _, rows, _ in kinds),
+            "errors": rounds * len(codes),
+            "error_codes": {code: rounds for code in codes},
+        }
+        assert summary.served == rounds * (len(kinds) - len(codes))
+        assert sum("error" in response for response in responses) == summary.errors
